@@ -26,7 +26,6 @@
 #include "mfusim/dataflow/limits.hh"
 #include "mfusim/harness/experiment.hh"
 #include "mfusim/harness/trace_library.hh"
-#include "mfusim/sim/batched.hh"
 #include "mfusim/sim/multi_issue_sim.hh"
 #include "mfusim/sim/ruu_sim.hh"
 #include "mfusim/sim/scoreboard_sim.hh"
@@ -279,23 +278,22 @@ BENCHMARK(BM_RuuSteady)
     ->Args({ 13, 0 })
     ->Args({ 13, 1 });
 
-// ---- batched lockstep sweep --------------------------------------
+// ---- table sweep grid ---------------------------------------------
 //
-// The full Table 3 in-order grid — 4 standard configs x scalar-class
-// loops x 16 (stations, bus) variants — timed through the batched
-// lockstep kernel (batched=1) and the equivalent per-variant scalar
-// loop (batched=0), with the steady-state fast path off and on.  The
-// ResultCache is bypassed on both paths so the on/off
-// items_per_second ratio isolates the kernel itself; that ratio is
-// the batched-sweep speedup gate in tools/check_bench_regression.py.
+// The full Table 3/4 in-order grid — 4 standard configs x the loops
+// of one class (0 = scalar, 1 = vectorizable) x 16 (stations, bus)
+// variants — each variant timed by its own run() on the shared
+// decoded trace, with the steady-state fast path off and on.  The
+// ResultCache is bypassed so the number is the simulation itself.
 
 void
-BM_BatchedSweep(benchmark::State &state)
+BM_SweepGrid(benchmark::State &state)
 {
-    const bool batched = state.range(0) != 0;
+    const LoopClass cls = state.range(0) != 0 ? LoopClass::kVectorizable
+                                              : LoopClass::kScalar;
     setSteadyStateEnabled(state.range(1) != 0);
     const auto &configs = standardConfigs();
-    const std::vector<int> &loops = loopsOf(LoopClass::kScalar);
+    const std::vector<int> &loops = loopsOf(cls);
     std::int64_t ops = 0;
     for (auto _ : state) {
         ops = 0;
@@ -303,39 +301,26 @@ BM_BatchedSweep(benchmark::State &state)
             for (const int loop : loops) {
                 const DecodedTrace &trace =
                     TraceLibrary::instance().decoded(loop, cfg);
-                std::vector<std::unique_ptr<Simulator>> sims;
                 for (unsigned stations = 1; stations <= 8;
                      ++stations) {
                     for (const BusKind bus :
                          { BusKind::kPerUnit, BusKind::kSingle }) {
-                        sims.push_back(
-                            std::make_unique<MultiIssueSim>(
-                                MultiIssueConfig{ stations, false,
-                                                  bus, false },
-                                cfg));
+                        MultiIssueSim sim(MultiIssueConfig{ stations,
+                                                            false, bus,
+                                                            false },
+                                          cfg);
+                        benchmark::DoNotOptimize(
+                            sim.run(trace).cycles);
+                        ops += std::int64_t(trace.size());
                     }
                 }
-                if (batched) {
-                    std::vector<BatchLane> lanes;
-                    lanes.reserve(sims.size());
-                    for (const auto &sim : sims)
-                        lanes.push_back({ sim.get(), &trace });
-                    benchmark::DoNotOptimize(
-                        runBatch(lanes).results.front().cycles);
-                } else {
-                    for (const auto &sim : sims)
-                        benchmark::DoNotOptimize(
-                            sim->run(trace).cycles);
-                }
-                ops += std::int64_t(trace.size()) *
-                       std::int64_t(sims.size());
             }
         }
     }
     setSteadyStateEnabled(true);
     state.SetItemsProcessed(std::int64_t(state.iterations()) * ops);
 }
-BENCHMARK(BM_BatchedSweep)
+BENCHMARK(BM_SweepGrid)
     ->Args({ 0, 0 })
     ->Args({ 1, 0 })
     ->Args({ 0, 1 })

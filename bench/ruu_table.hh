@@ -32,12 +32,11 @@ runRuuTable(const char *title, LoopClass cls)
     std::printf("%s\n(measured [paper])\n\n", title);
 
     // All 48 (size, units, bus) variants of one (config, loop) cell
-    // time the same decoded trace: each grid cell hands them to the
-    // batched sweep entry together (runBatch falls back to the
-    // scalar path for the RUU machines, so the win here is the
-    // shared decode and one-pass cache population, not lockstep).
-    // Cells still write only their own slots and the render stays
-    // serial, so the printed table is bit-identical to a serial run.
+    // time the same decoded trace: each grid cell hands them to one
+    // batchedPerLoopRates() call (one decode, one cache lookup per
+    // variant).  Cells write only their own slots and the render
+    // stays serial, so the printed table is bit-identical to a
+    // serial run.
     constexpr int kConfigs = 4;
     constexpr int kSizes = 6;
     constexpr int kUnits = 4;

@@ -67,9 +67,8 @@ runSpeculationTable(const char *title, LoopClass cls,
 
     // One variant per row; each carries its predictor in its own copy
     // of the machine configuration.  All rows of one (config, loop)
-    // cell go through the batched sweep entry together: speculative
-    // lanes fall back to the scalar path inside runBatch, so the win
-    // is the shared decode and one-pass cache population.
+    // cell go through one batchedPerLoopRates() call: one decode, one
+    // cache lookup per row.
     constexpr int kConfigs = 4;
     const auto &configs = standardConfigs();
     const std::vector<int> &loops = loopsOf(cls);

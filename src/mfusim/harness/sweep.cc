@@ -20,7 +20,6 @@
 #include "mfusim/obs/run_metrics.hh"
 #include "mfusim/serve/result_cache.hh"
 #include "mfusim/sim/audit.hh"
-#include "mfusim/sim/batched.hh"
 #include "mfusim/sim/simulator.hh"
 
 namespace mfusim
@@ -166,24 +165,36 @@ runGrid(std::size_t cells,
     }
 }
 
-std::vector<double>
-parallelPerLoopRates(const SimFactory &factory,
-                     const std::vector<int> &loops,
-                     const MachineConfig &cfg, unsigned jobs)
+namespace
 {
-    // The single-variant sweep is a one-lane batch per loop, which
-    // runBatch() routes to the plain scalar path.
-    return batchedPerLoopRates({ factory }, loops, cfg, jobs)
-        .front();
+
+/** Rethrow @p e with each failed cell named by its loop id. */
+[[noreturn]] void
+rethrowAsLoopFailures(const SweepError &e, const std::vector<int> &loops,
+                      const MachineConfig &cfg)
+{
+    std::vector<SweepError::Failure> failures;
+    failures.reserve(e.failures().size());
+    for (const SweepError::Failure &f : e.failures()) {
+        failures.push_back(SweepError::Failure{
+            f.cell, "loop " + std::to_string(loops[f.cell]) + " (" +
+                        cfg.name() + "): " + f.message });
+    }
+    throw SweepError(std::move(failures), loops.size());
 }
 
+/**
+ * batchedPerLoopRates() body; @p done (sized to @p loops) gets a
+ * nonzero flag for every loop cell that completed.
+ */
 std::vector<std::vector<double>>
-batchedPerLoopRates(const std::vector<SimFactory> &variants,
-                    const std::vector<int> &loops,
-                    const MachineConfig &cfg, unsigned jobs)
+sweepVariants(const std::vector<SimFactory> &variants,
+              const std::vector<int> &loops, const MachineConfig &cfg,
+              unsigned jobs, std::vector<char> &done)
 {
     std::vector<std::vector<double>> rates(
         variants.size(), std::vector<double>(loops.size()));
+    done.assign(loops.size(), 0);
     const bool audit = auditRequested();
     try {
         runGrid(loops.size(), [&](std::size_t i) {
@@ -191,72 +202,57 @@ batchedPerLoopRates(const std::vector<SimFactory> &variants,
                 TraceLibrary::instance().decoded(loops[i], cfg);
             const std::string traceKey =
                 "LL" + std::to_string(loops[i]);
-            ResultCache &cache = ResultCache::instance();
-
-            // Cells whose simulator states a complete cache identity
-            // are memoized process-wide (serve/result_cache.hh):
-            // re-sweeping the same (machine, loop, config) cell — a
-            // table bench revisiting a column, `rate all` re-run by
-            // the serve daemon — skips the simulation entirely.
-            // The remaining variants advance over the trace together
-            // in one lockstep pass, then every computed cell is
-            // stored back (one simulate, many cache fills).
-            std::vector<std::unique_ptr<Simulator>> sims(
-                variants.size());
-            std::vector<std::string> keys(variants.size());
-            std::vector<std::size_t> missed;
             for (std::size_t v = 0; v < variants.size(); ++v) {
-                sims[v] = variants[v](cfg);
-                keys[v] = sims[v]->cacheKey();
-                SimResult cached;
-                if (!keys[v].empty() &&
-                    cache.probe(keys[v], traceKey, cfg, audit,
-                                &cached)) {
-                    rates[v][i] = cached.issueRate();
-                    continue;
-                }
-                missed.push_back(v);
+                const std::unique_ptr<Simulator> sim = variants[v](cfg);
+                const auto compute = [&] {
+                    return audit ? runAudited(*sim, trace)
+                                 : sim->run(trace);
+                };
+                // Cells whose simulator states a complete cache
+                // identity are memoized process-wide
+                // (serve/result_cache.hh): re-sweeping the same
+                // (machine, loop, config) cell — a table bench
+                // revisiting a column, `rate all` re-run by the
+                // serve daemon — skips the simulation entirely.
+                const std::string key = sim->cacheKey();
+                const SimResult result =
+                    key.empty() ? compute()
+                                : ResultCache::instance().getOrCompute(
+                                      key, traceKey, cfg, audit,
+                                      compute);
+                rates[v][i] = result.issueRate();
             }
-            if (audit) {
-                // Audited cells need the complete per-op event
-                // stream: scalar path, as before.
-                for (const std::size_t v : missed) {
-                    const SimResult result =
-                        runAudited(*sims[v], trace);
-                    if (!keys[v].empty())
-                        cache.store(keys[v], traceKey, cfg, audit,
-                                    result);
-                    rates[v][i] = result.issueRate();
-                }
-                return;
-            }
-            std::vector<BatchLane> lanes;
-            lanes.reserve(missed.size());
-            for (const std::size_t v : missed)
-                lanes.push_back({ sims[v].get(), &trace });
-            const BatchOutcome out = runBatch(lanes);
-            for (std::size_t m = 0; m < missed.size(); ++m) {
-                const std::size_t v = missed[m];
-                if (!keys[v].empty())
-                    cache.store(keys[v], traceKey, cfg, audit,
-                                out.results[m]);
-                rates[v][i] = out.results[m].issueRate();
-            }
+            done[i] = 1;
         }, jobs, GridFailurePolicy::kContinue);
     } catch (const SweepError &e) {
-        // Re-key the cell indices as loop ids so the report reads in
-        // the caller's terms.
-        std::vector<SweepError::Failure> failures;
-        failures.reserve(e.failures().size());
-        for (const SweepError::Failure &f : e.failures()) {
-            failures.push_back(SweepError::Failure{
-                f.cell,
-                "loop " + std::to_string(loops[f.cell]) + " (" +
-                    cfg.name() + "): " + f.message });
-        }
-        throw SweepError(std::move(failures), loops.size());
+        rethrowAsLoopFailures(e, loops, cfg);
     }
     return rates;
+}
+
+} // namespace
+
+std::vector<double>
+parallelPerLoopRates(const SimFactory &factory,
+                     const std::vector<int> &loops,
+                     const MachineConfig &cfg, unsigned jobs,
+                     std::vector<bool> *completed)
+{
+    std::vector<char> done;
+    std::vector<double> rates =
+        sweepVariants({ factory }, loops, cfg, jobs, done).front();
+    if (completed != nullptr)
+        completed->assign(done.begin(), done.end());
+    return rates;
+}
+
+std::vector<std::vector<double>>
+batchedPerLoopRates(const std::vector<SimFactory> &variants,
+                    const std::vector<int> &loops,
+                    const MachineConfig &cfg, unsigned jobs)
+{
+    std::vector<char> done;
+    return sweepVariants(variants, loops, cfg, jobs, done);
 }
 
 SweepMetrics
@@ -268,8 +264,8 @@ parallelPerLoopMetrics(const SimFactory &factory,
     out.rates.resize(loops.size());
     std::vector<MetricsRegistry> cells(loops.size());
     // One flag per cell, set as the body's last step: after an
-    // interrupted sweep (core/shutdown.hh) the merge below can count
-    // how many cells actually completed.
+    // interrupted sweep (core/shutdown.hh) it tells which cells
+    // actually completed.
     std::vector<char> done(loops.size(), 0);
     try {
         runGrid(loops.size(), [&](std::size_t i) {
@@ -289,28 +285,18 @@ parallelPerLoopMetrics(const SimFactory &factory,
             done[i] = 1;
         }, jobs, GridFailurePolicy::kContinue);
     } catch (const SweepError &e) {
-        std::vector<SweepError::Failure> failures;
-        failures.reserve(e.failures().size());
-        for (const SweepError::Failure &f : e.failures()) {
-            failures.push_back(SweepError::Failure{
-                f.cell,
-                "loop " + std::to_string(loops[f.cell]) + " (" +
-                    cfg.name() + "): " + f.message });
-        }
-        throw SweepError(std::move(failures), loops.size());
+        rethrowAsLoopFailures(e, loops, cfg);
     }
     // Serial index-order merge: deterministic regardless of the
     // worker schedule.
     out.metrics.setLabel("config", cfg.name());
-    std::size_t completed = 0;
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        if (done[i])
-            ++completed;
-        out.metrics.merge(cells[i]);
-    }
+    for (const MetricsRegistry &cell : cells)
+        out.metrics.merge(cell);
+    out.completed.assign(done.begin(), done.end());
     out.metrics.gauge("sweep.cells_total")
         .set(double(loops.size()));
-    out.metrics.gauge("sweep.cells_completed").set(double(completed));
+    out.metrics.gauge("sweep.cells_completed")
+        .set(double(std::count(done.begin(), done.end(), 1)));
     if (shutdownRequested())
         out.metrics.setLabel("interrupted",
                              shutdownSignal() == SIGTERM ? "SIGTERM"

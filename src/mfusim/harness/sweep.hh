@@ -100,26 +100,28 @@ void runGrid(std::size_t cells,
  * are unchanged, but an invariant violation fails the cell with an
  * AuditError.
  *
+ * After a cooperative shutdown (core/shutdown.hh) the cells that were
+ * never started keep a 0.0 placeholder rate; @p completed, when
+ * given, is resized to @p loops and flags exactly the cells that
+ * finished, so callers report only those.
+ *
  * @throws SweepError naming each failed loop as
  *         "loop <id> (<config>): <message>"; all cells are always
  *         attempted.
  */
-std::vector<double> parallelPerLoopRates(const SimFactory &factory,
-                                         const std::vector<int> &loops,
-                                         const MachineConfig &cfg,
-                                         unsigned jobs = 0);
+std::vector<double>
+parallelPerLoopRates(const SimFactory &factory,
+                     const std::vector<int> &loops,
+                     const MachineConfig &cfg, unsigned jobs = 0,
+                     std::vector<bool> *completed = nullptr);
 
 /**
- * Batched parallelPerLoopRates(): many machine variants swept over
- * the same loops and config in one call.  One grid cell per loop;
- * within a cell the variants that miss the ResultCache advance over
- * the loop's decoded trace together through the batched lockstep
- * kernel (sim/batched.hh) — one trace pass, many configs — and every
- * computed cell is stored back, so one simulate fills many cache
- * entries.  Lanes the kernel does not cover (out-of-order issue,
- * RUU, audited cells) fall back to the scalar path inside the same
- * call; results are bit-identical to per-variant
- * parallelPerLoopRates() either way.
+ * Many machine variants swept over the same loops and config in one
+ * call.  One grid cell per loop: the cell decodes the loop's trace
+ * once and times every variant on it with that variant's own run(),
+ * one ResultCache lookup per (variant, loop) cell, so one call fills
+ * (or is served from) every cacheable entry.  Results are
+ * bit-identical to per-variant parallelPerLoopRates().
  *
  * Returns rates[variant][loop index].  Audit and failure reporting
  * as in parallelPerLoopRates(); a failing variant fails its whole
@@ -135,6 +137,12 @@ struct SweepMetrics
 {
     /** Issue rate per loop, in @p loops order. */
     std::vector<double> rates;
+    /**
+     * completed[i] is set iff loop i's cell finished; after an
+     * interrupted sweep the others hold placeholder rates and no
+     * metrics.
+     */
+    std::vector<bool> completed;
     /**
      * All per-cell registries merged in loop order: counters and
      * histograms aggregate across the sweep, per-loop rates appear

@@ -58,7 +58,6 @@
 #include "mfusim/serve/server.hh"
 #include "mfusim/serve/sim_service.hh"
 #include "mfusim/sim/audit.hh"
-#include "mfusim/sim/batched.hh"
 #include "mfusim/sim/cdc6600_sim.hh"
 #include "mfusim/sim/multi_issue_sim.hh"
 #include "mfusim/sim/ruu_sim.hh"

@@ -94,29 +94,6 @@ ResultCache::lookup(const std::string &machineKey,
 }
 
 bool
-ResultCache::probe(const std::string &machineKey,
-                   const std::string &traceKey,
-                   const MachineConfig &cfg, bool audited,
-                   SimResult *out)
-{
-    const std::string key =
-        composeKey(machineKey, traceKey, cfg, audited);
-    Shard &shard = shardFor(key);
-    {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        const auto it = shard.entries.find(key);
-        if (it != shard.entries.end()) {
-            shard.hits.fetch_add(1, std::memory_order_relaxed);
-            if (out)
-                *out = it->second;
-            return true;
-        }
-    }
-    shard.misses.fetch_add(1, std::memory_order_relaxed);
-    return false;
-}
-
-bool
 ResultCache::probeHit(const std::string &machineKey,
                       const std::string &traceKey,
                       const MachineConfig &cfg, bool audited,

@@ -103,21 +103,11 @@ class ResultCache
                 SimResult *out) const;
 
     /**
-     * lookup() that counts one hit or one miss.  The batched sweep
-     * kernel decouples the lookup from the store — one lockstep pass
-     * computes many cells at once — so it cannot use getOrCompute()'s
-     * single-cell compute callback.
-     */
-    bool probe(const std::string &machineKey,
-               const std::string &traceKey, const MachineConfig &cfg,
-               bool audited, SimResult *out);
-
-    /**
      * lookup() that counts a hit when the cell is present and counts
      * NOTHING when it is not.  The serve reactor's fast path probes
      * with it: a hit is served (and counted) inline, while a miss
      * falls through to a worker whose getOrCompute() records the one
-     * authoritative miss — probe() here would double-count it.
+     * authoritative miss — counting it here would double-count it.
      */
     bool probeHit(const std::string &machineKey,
                   const std::string &traceKey,
@@ -125,7 +115,7 @@ class ResultCache
                   SimResult *out);
 
     /**
-     * Insert one completed cell (one batched simulate, many fills).
+     * Insert one completed cell computed outside getOrCompute().
      * Counts neither a hit nor a miss; racing stores of the same key
      * keep the first value (identical by construction).
      */

@@ -24,7 +24,6 @@
 #include "mfusim/serve/json.hh"
 #include "mfusim/serve/result_cache.hh"
 #include "mfusim/sim/audit.hh"
-#include "mfusim/sim/batched.hh"
 #include "mfusim/spec/predictor.hh"
 
 namespace mfusim
@@ -400,9 +399,7 @@ SimService::handleSweep(const std::string &body)
         throw ServeError(400, "request body must be a JSON object");
 
     // 'machine' is one spec string or a list of them: every listed
-    // variant sweeps the same loops and config in one request, and
-    // the variants advance over each loop's trace together through
-    // the batched lockstep kernel (sim/batched.hh).
+    // variant sweeps the same loops and config in one request.
     const Json &machineField = requireMember(request, "machine");
     std::vector<std::string> machineSpecs;
     if (machineField.isString()) {
@@ -478,10 +475,9 @@ SimService::handleSweep(const std::string &body)
             return parseMachineSpec(spec, c);
         });
     }
-    // One batched run per loop cell: the lockstep kernel advances
-    // every cache-missing variant in one trace pass and stores each
-    // computed cell back, so this call populates every covered
-    // ResultCache entry at once.
+    // One grid cell per loop; each variant's (machine, loop) result
+    // goes through the ResultCache, so this call populates every
+    // cacheable entry at once.
     const std::vector<std::vector<double>> rates =
         batchedPerLoopRates(variants, loops, cfg, jobs);
 
@@ -622,17 +618,6 @@ SimService::handleMetrics()
         }
     }
     ResultCache::instance().appendMetrics(snapshot);
-    // Batched lockstep kernel telemetry (sim/batched.hh):
-    // batch_size is the cumulative lane count submitted to
-    // runBatch(), split into lockstep-advanced and scalar-fallback
-    // lanes.
-    const BatchTelemetry batch = batchTelemetry();
-    snapshot.counter("sweep.batches").add(batch.batches);
-    snapshot.counter("sweep.batch_size").add(batch.lanes);
-    snapshot.counter("sweep.batch.lockstep_lanes")
-        .add(batch.lockstepLanes);
-    snapshot.counter("sweep.batch.scalar_lanes")
-        .add(batch.scalarLanes);
     // Speculation telemetry (spec/predictor.hh): registered
     // unconditionally so the families exist (at zero) before any
     // speculative run.

@@ -96,9 +96,6 @@ class MultiIssueSim : public Simulator
     const MachineConfig &config() const override { return cfg_; }
     AuditRules auditRules() const override;
 
-    /** Organization knobs (the batched sweep kernel mirrors them). */
-    const MultiIssueConfig &org() const { return org_; }
-
   private:
     /**
      * run() body, compiled once with audit emission and once without

@@ -92,9 +92,6 @@ class ScoreboardSim : public Simulator
     const MachineConfig &config() const override { return cfg_; }
     AuditRules auditRules() const override;
 
-    /** Organization knobs (the batched sweep kernel mirrors them). */
-    const ScoreboardConfig &org() const { return org_; }
-
   private:
     // The issue loop is compiled twice: kObs=false (no attached
     // sink) carries zero event/stall-emission code, so the default

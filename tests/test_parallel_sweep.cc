@@ -3,7 +3,9 @@
  * Parallel sweep runner: runGrid must visit every cell exactly once
  * and propagate errors, and the parallel per-loop rates must be
  * bit-identical to the serial computation for the paper's table
- * cells (determinism by construction).
+ * cells (determinism by construction) — including the many-variant
+ * batchedPerLoopRates() entry, on every loop with steady state on
+ * and off.
  */
 
 #include <gtest/gtest.h>
@@ -12,14 +14,18 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "mfusim/core/error.hh"
 #include "mfusim/harness/sweep.hh"
 #include "mfusim/harness/trace_library.hh"
+#include "mfusim/serve/result_cache.hh"
+#include "mfusim/sim/multi_issue_sim.hh"
 #include "mfusim/sim/ruu_sim.hh"
 #include "mfusim/sim/scoreboard_sim.hh"
 #include "mfusim/sim/simple_sim.hh"
+#include "mfusim/sim/steady_state.hh"
 
 namespace mfusim
 {
@@ -245,6 +251,81 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(LoopClass::kScalar, LoopClass::kVectorizable),
     [](const ::testing::TestParamInfo<LoopClass> &info) {
         return loopClassName(info.param);
+    });
+
+// ---- batchedPerLoopRates: every variant matches a fresh run() ---------
+
+/**
+ * The variants a Table 1/3 sweep cell times over one loop: SimpleSim,
+ * the three scoreboard organizations and in-order multi-issue widths
+ * x bus kinds.
+ */
+std::vector<SimFactory>
+sweepVariants()
+{
+    std::vector<SimFactory> v;
+    v.push_back([](const MachineConfig &c)
+                    -> std::unique_ptr<Simulator> {
+        return std::make_unique<SimpleSim>(c);
+    });
+    for (const auto &org :
+         { ScoreboardConfig::serialMemory(),
+           ScoreboardConfig::nonSegmented(),
+           ScoreboardConfig::crayLike() }) {
+        v.push_back([org](const MachineConfig &c)
+                        -> std::unique_ptr<Simulator> {
+            return std::make_unique<ScoreboardSim>(org, c);
+        });
+    }
+    for (const unsigned width : { 2u, 4u, 8u }) {
+        for (const BusKind bus :
+             { BusKind::kPerUnit, BusKind::kSingle }) {
+            v.push_back([width, bus](const MachineConfig &c)
+                            -> std::unique_ptr<Simulator> {
+                return std::make_unique<MultiIssueSim>(
+                    MultiIssueConfig{ width, false, bus }, c);
+            });
+        }
+    }
+    return v;
+}
+
+class BatchedBitIdentity
+    : public ::testing::TestWithParam<std::tuple<int, bool>>
+{};
+
+TEST_P(BatchedBitIdentity, MatchesScalarPath)
+{
+    const int loop = std::get<0>(GetParam());
+    const bool wasSteady = steadyStateEnabled();
+    setSteadyStateEnabled(std::get<1>(GetParam()));
+    // Start cold so every cell is computed by this sweep, not served
+    // from an earlier test's entry.
+    ResultCache::instance().clear();
+
+    const std::vector<SimFactory> variants = sweepVariants();
+    for (const MachineConfig &cfg : standardConfigs()) {
+        const std::vector<std::vector<double>> rates =
+            batchedPerLoopRates(variants, { loop }, cfg, 1);
+        const DecodedTrace &trace =
+            TraceLibrary::instance().decoded(loop, cfg);
+        ASSERT_EQ(rates.size(), variants.size());
+        for (std::size_t v = 0; v < variants.size(); ++v) {
+            const auto fresh = variants[v](cfg);
+            EXPECT_EQ(rates[v].at(0), fresh->run(trace).issueRate())
+                << fresh->name() << " " << cfg.name();
+        }
+    }
+    ResultCache::instance().clear();
+    setSteadyStateEnabled(wasSteady);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllLoops, BatchedBitIdentity,
+    ::testing::Combine(::testing::Range(1, 15), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<int, bool>> &info) {
+        return "LL" + std::to_string(std::get<0>(info.param)) +
+            (std::get<1>(info.param) ? "_steady" : "_plain");
     });
 
 } // namespace

@@ -254,6 +254,34 @@ TEST_F(ResultCacheTest, SweepSecondRunIsAllHits)
     ASSERT_EQ(second.size(), first.size());
     for (std::size_t i = 0; i < first.size(); ++i)
         EXPECT_EQ(second[i], first[i]) << "loop " << loops[i];
+
+    // A many-variant sweep looks each (variant, loop) cell up once:
+    // the first pass misses every cell, the second hits every cell,
+    // and the rates equal per-variant single-machine sweeps.
+    const std::vector<SimFactory> variants = {
+        factory,
+        [](const MachineConfig &c) -> std::unique_ptr<Simulator> {
+            return std::make_unique<SimpleSim>(c);
+        },
+        [](const MachineConfig &c) -> std::unique_ptr<Simulator> {
+            return std::make_unique<RuuSim>(
+                RuuConfig{ 2, 20, BusKind::kSingle }, c);
+        },
+    };
+    std::vector<std::vector<double>> perVariant;
+    for (const SimFactory &variant : variants) {
+        ResultCache::instance().clear();
+        perVariant.push_back(
+            parallelPerLoopRates(variant, loops, cfg, 2));
+    }
+    ResultCache::instance().clear();
+    const std::uint64_t cells = variants.size() * loops.size();
+    EXPECT_EQ(batchedPerLoopRates(variants, loops, cfg, 2), perVariant);
+    EXPECT_EQ(ResultCache::instance().stats().misses, cells);
+    EXPECT_EQ(ResultCache::instance().stats().hits, 0u);
+    EXPECT_EQ(batchedPerLoopRates(variants, loops, cfg, 2), perVariant);
+    EXPECT_EQ(ResultCache::instance().stats().misses, cells);
+    EXPECT_EQ(ResultCache::instance().stats().hits, cells);
 }
 
 TEST_F(ResultCacheTest, SweepVariantsDoNotAlias)
@@ -318,8 +346,9 @@ TEST(ShutdownGrid, SigintStopsGridAndFlagsPartialResults)
 TEST(ShutdownGrid, InterruptedSweepStillMergesPartialMetrics)
 {
     // parallelPerLoopMetrics under SIGTERM: completed cells merge,
-    // the output is stamped with the interruption, and nothing
-    // crashes or deadlocks.
+    // the output is stamped with the interruption, both sweep entries
+    // flag exactly the completed cells, and nothing crashes or
+    // deadlocks.
     installShutdownHandler();
     resetShutdownForTests();
     ResultCache::instance().clear();
@@ -363,6 +392,16 @@ TEST(ShutdownGrid, InterruptedSweepStillMergesPartialMetrics)
         sweep.metrics.gaugeValue("sweep.cells_completed");
     EXPECT_GE(completed, 3.0);
     EXPECT_LT(completed, double(loops.size()));
+    // One job: the cells up to the signalling LL3 finish, none after.
+    const std::vector<bool> firstThree{ true,  true,  true, false,
+                                        false, false, false };
+    EXPECT_EQ(sweep.completed, firstThree);
+
+    // The plain sweep reports the same cells as completed.
+    resetShutdownForTests();
+    std::vector<bool> done;
+    parallelPerLoopRates(factory, loops, configM11BR5(), 1, &done);
+    EXPECT_EQ(done, firstThree);
     resetShutdownForTests();
 }
 

@@ -13,8 +13,8 @@
  *    condition's functional unit is still busy;
  *  - the steady-state fast path stays off under non-perfect
  *    predictors (and on, oracle-identical, under the perfect one);
- *  - speculative lanes fall back to the scalar path inside runBatch
- *    with bit-identical results;
+ *  - speculative variants mixed with plain ones in one
+ *    batchedPerLoopRates() call match fresh runs bit for bit;
  *  - cache keys, config names, machine-spec ",pred=" plumbing, and
  *    the non-speculative machines' rejection of an armed predictor.
  */
@@ -30,8 +30,8 @@
 #include "mfusim/core/machine_config.hh"
 #include "mfusim/harness/experiment.hh"
 #include "mfusim/harness/spec_parse.hh"
+#include "mfusim/harness/sweep.hh"
 #include "mfusim/harness/trace_library.hh"
-#include "mfusim/sim/batched.hh"
 #include "mfusim/sim/cdc6600_sim.hh"
 #include "mfusim/sim/multi_issue_sim.hh"
 #include "mfusim/sim/ruu_sim.hh"
@@ -473,36 +473,43 @@ TEST(Speculation, IssueRateClimbsWithPredictorAccuracy)
     EXPECT_GT(perfect, r60);
 }
 
-// ---- batched sweep fallback ------------------------------------------
+// ---- many-variant sweeps --------------------------------------------
 
 TEST(Speculation, SpeculativeLanesFallBackScalarInsideBatches)
 {
+    // Plain in-order variants mixed with speculative ones in one
+    // batchedPerLoopRates() call: every variant's rate must equal a
+    // fresh run() of the same machine, bit for bit.
     const MachineConfig base = standardConfigs()[0];
     const DecodedTrace &trace =
         TraceLibrary::instance().decoded(5, base);
-    const MachineConfig pred = withPredictor(base, "2bit");
-
-    // Two plain in-order lanes (a lockstep group) mixed with
-    // speculative lanes that the kernel must not cover.
-    MultiIssueSim seq1(MultiIssueConfig{ 4, false }, base);
-    MultiIssueSim seq2(MultiIssueConfig{ 8, false }, base);
-    MultiIssueSim specSeq(MultiIssueConfig{ 4, false }, pred);
-    RuuSim specRuu({ 4, 50, BusKind::kPerUnit },
-                   withPredictor(base, "perfect"));
-    const BatchOutcome out = runBatch({ { &seq1, &trace },
-                                        { &seq2, &trace },
-                                        { &specSeq, &trace },
-                                        { &specRuu, &trace } });
-    EXPECT_EQ(out.lockstepLanes, 2u);
-    EXPECT_EQ(out.scalarLanes, 2u);
-
-    MultiIssueSim freshSeq(MultiIssueConfig{ 4, false }, pred);
-    expectSameResult(out.results.at(2), freshSeq.run(trace),
-                     "speculative seq lane");
-    RuuSim freshRuu({ 4, 50, BusKind::kPerUnit },
-                    withPredictor(base, "perfect"));
-    expectSameResult(out.results.at(3), freshRuu.run(trace),
-                     "speculative ruu lane");
+    const std::vector<SimFactory> variants = {
+        [](const MachineConfig &c) -> std::unique_ptr<Simulator> {
+            return std::make_unique<MultiIssueSim>(
+                MultiIssueConfig{ 4, false }, c);
+        },
+        [](const MachineConfig &c) -> std::unique_ptr<Simulator> {
+            return std::make_unique<MultiIssueSim>(
+                MultiIssueConfig{ 8, false }, c);
+        },
+        [](const MachineConfig &c) -> std::unique_ptr<Simulator> {
+            return std::make_unique<MultiIssueSim>(
+                MultiIssueConfig{ 4, false }, withPredictor(c, "2bit"));
+        },
+        [](const MachineConfig &c) -> std::unique_ptr<Simulator> {
+            return std::make_unique<RuuSim>(
+                RuuConfig{ 4, 50, BusKind::kPerUnit },
+                withPredictor(c, "perfect"));
+        },
+    };
+    const std::vector<std::vector<double>> rates =
+        batchedPerLoopRates(variants, { 5 }, base, 1);
+    ASSERT_EQ(rates.size(), variants.size());
+    for (std::size_t v = 0; v < variants.size(); ++v) {
+        const auto fresh = variants[v](base);
+        EXPECT_EQ(rates[v].at(0), fresh->run(trace).issueRate())
+            << fresh->name();
+    }
 }
 
 // ---- identity plumbing: cache keys, names, machine specs -------------

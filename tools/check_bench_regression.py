@@ -15,14 +15,11 @@ and a snapshot without it — or marked "debug" — came from an
 unoptimized build and is rejected outright (exit 1), not silently
 compared.
 
-When the newest snapshot contains the BM_BatchedSweep pairs, the
-batched/scalar items_per_second ratio must reach --batched-speedup
-(default 2.0) for at least one steady-state setting: the batched
-lockstep kernel exists to make sweeps faster, so losing that win is
-a failure even if no individual benchmark regressed.
+Snapshots are ordered by the BENCH_YYYYMMDD_HHMMSS stamp in their
+file names (tools/run_bench.sh writes it), not by file mtime, which a
+fresh clone does not preserve.
 
-Usage: tools/check_bench_regression.py [--tolerance 0.15]
-           [--batched-speedup 2.0] [repo-root]
+Usage: tools/check_bench_regression.py [--tolerance 0.15] [repo-root]
 """
 
 import argparse
@@ -49,54 +46,19 @@ def load(path):
             context.get("library_build_type", "unknown"))
 
 
-def check_batched_speedup(benches, required):
-    """Gate the BM_BatchedSweep batched/scalar throughput ratio.
-
-    Benchmark names look like "BM_BatchedSweep/<batched>/<steady>".
-    Returns (failures, checked): zero failures when no pair is
-    present (older snapshots), or when at least one steady setting
-    meets the required ratio.
-    """
-    pairs = {}
-    for name, ips in benches.items():
-        parts = name.split("/")
-        if parts[0] != "BM_BatchedSweep" or len(parts) != 3:
-            continue
-        pairs.setdefault(parts[2], {})[parts[1]] = ips
-    checked = 0
-    best = 0.0
-    for steady, sides in sorted(pairs.items()):
-        if "0" not in sides or "1" not in sides:
-            continue
-        checked += 1
-        ratio = sides["1"] / sides["0"]
-        best = max(best, ratio)
-        print(f"  BM_BatchedSweep steady={steady}: batched/scalar "
-              f"{ratio:.2f}x (require >= {required:.1f}x on one)")
-    if not checked:
-        return 0, 0
-    if best < required:
-        print(f"batched sweep speedup gate FAILED: best ratio "
-              f"{best:.2f}x < {required:.1f}x")
-        return 1, checked
-    return 0, checked
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--tolerance", type=float, default=0.15,
                         help="allowed fractional slowdown (default 0.15)")
-    parser.add_argument("--batched-speedup", type=float, default=2.0,
-                        help="required BM_BatchedSweep batched/scalar "
-                             "ratio (default 2.0)")
     parser.add_argument("root", nargs="?", default=None,
                         help="repo root (default: script's parent dir)")
     args = parser.parse_args()
 
     root = args.root or os.path.dirname(
         os.path.dirname(os.path.abspath(__file__)))
-    snapshots = sorted(glob.glob(os.path.join(root, "BENCH_*.json")),
-                       key=os.path.getmtime)
+    # The fixed-width BENCH_YYYYMMDD_HHMMSS stamp makes name order
+    # time order; mtime is not (a fresh clone resets it).
+    snapshots = sorted(glob.glob(os.path.join(root, "BENCH_*.json")))
     if not snapshots:
         print("check_bench_regression: no snapshots in repo root — "
               "nothing to gate")
@@ -111,13 +73,10 @@ def main():
               "debug builds and stamps this key) — REJECTED")
         return 1
 
-    speedup_failures, speedup_checked = check_batched_speedup(
-        new, args.batched_speedup)
-
     if len(snapshots) < 2:
         print(f"check_bench_regression: {len(snapshots)} snapshot(s) "
               "in repo root; need two to compare — nothing to gate")
-        return 1 if speedup_failures else 0
+        return 0
 
     old_path = snapshots[-2]
     old_type, old, old_profile, _old_lib = load(old_path)
@@ -125,12 +84,12 @@ def main():
         print(f"check_bench_regression: build types differ "
               f"({os.path.basename(old_path)}={old_type}, "
               f"{os.path.basename(new_path)}={new_type}) — skipping")
-        return 1 if speedup_failures else 0
+        return 0
 
     shared = sorted(set(old) & set(new))
     if not shared:
         print("check_bench_regression: no shared benchmarks — skipping")
-        return 1 if speedup_failures else 0
+        return 0
 
     print(f"comparing {os.path.basename(new_path)} against "
           f"{os.path.basename(old_path)} "
@@ -150,15 +109,11 @@ def main():
               f"{old_profile[phase] * 1e3:9.2f} -> "
               f"{new_profile[phase] * 1e3:9.2f} ms  (informational)")
 
-    if failures or speedup_failures:
-        if failures:
-            print(f"{failures} benchmark(s) regressed more than "
-                  f"{args.tolerance:.0%}")
+    if failures:
+        print(f"{failures} benchmark(s) regressed more than "
+              f"{args.tolerance:.0%}")
         return 1
-    if speedup_checked:
-        print("no regressions; batched sweep speedup gate green")
-    else:
-        print("no regressions")
+    print("no regressions")
     return 0
 
 

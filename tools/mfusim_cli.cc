@@ -395,35 +395,65 @@ cmdRateAll(const std::string &machine, const MachineConfig &cfg)
     for (const KernelSpec &spec : kernelSpecs())
         loops.push_back(spec.id);
     std::vector<double> rates;
+    std::vector<bool> completed;
     if (!g_obs.metricsOut.empty()) {
         // Instrumented sweep: per-cell registries, merged in loop
         // order.
         SweepMetrics sweep =
             parallelPerLoopMetrics(factory, loops, cfg);
         rates = std::move(sweep.rates);
+        completed = std::move(sweep.completed);
         writeMetricsFile(sweep.metrics, g_obs.metricsOut);
     } else {
-        rates = parallelPerLoopRates(factory, loops, cfg);
+        rates = parallelPerLoopRates(factory, loops, cfg, 0, &completed);
     }
+    // Sampled once: a signal landing while the table prints must not
+    // turn a complete, unlabelled report into an exit-130 run.
+    const bool interrupted = shutdownRequested();
 
     const std::string sim_name = parseMachine(machine, cfg)->name();
     std::printf("%s, %s (%u jobs):\n", sim_name.c_str(),
                 cfg.name().c_str(), defaultSweepJobs());
+    // Only completed cells are printed and averaged: an interrupted
+    // sweep's unstarted cells have no rate.
     AsciiTable table;
     table.setHeader({ "Loop", "Class", "Rate" });
     std::vector<double> scalar_rates, vector_rates;
+    std::size_t scalar_cells = 0;
     for (std::size_t i = 0; i < loops.size(); ++i) {
         const bool vec = kernelSpecs()[i].vectorizable;
+        if (!vec)
+            ++scalar_cells;
+        if (!completed[i])
+            continue;
         (vec ? vector_rates : scalar_rates).push_back(rates[i]);
         table.addRow({ "LL" + std::to_string(loops[i]),
                        vec ? "vector" : "scalar",
                        AsciiTable::num(rates[i], 4) });
     }
     table.print(std::cout);
-    std::printf("harmonic mean: scalar %.4f, vectorizable %.4f\n",
-                harmonicMean(scalar_rates),
-                harmonicMean(vector_rates));
-    if (shutdownRequested()) {
+    // A class mean over fewer than all of its cells is labelled
+    // partial; a class with no completed cell has no mean.
+    std::string means;
+    const auto addMean = [&means](const std::string &name,
+                                  const std::vector<double> &r,
+                                  std::size_t cells) {
+        if (r.empty())
+            return;
+        means += (means.empty() ? "" : ", ") + name + " " +
+            AsciiTable::num(harmonicMean(r), 4);
+        if (r.size() < cells)
+            means += " partial (" + std::to_string(r.size()) + " of " +
+                std::to_string(cells) + " cells)";
+    };
+    addMean("scalar", scalar_rates, scalar_cells);
+    addMean("vectorizable", vector_rates, loops.size() - scalar_cells);
+    if (!means.empty())
+        std::printf("harmonic mean: %s\n", means.c_str());
+    if (interrupted) {
+        std::printf("partial results: %zu of %zu cells completed\n",
+                    scalar_rates.size() + vector_rates.size(),
+                    loops.size());
         std::fflush(stdout);
         std::fprintf(stderr,
                      "mfusim: interrupted by signal %d; partial "
