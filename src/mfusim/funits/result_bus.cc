@@ -8,9 +8,33 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <string>
+
+#include "mfusim/core/error.hh"
+#include "mfusim/core/opcode.hh"
 
 namespace mfusim
 {
+
+void
+checkBusWindow(const MachineConfig &cfg, const char *machine)
+{
+    for (unsigned i = 0; i < kNumOps; ++i) {
+        const Op op = static_cast<Op>(i);
+        if (!producesResult(op))
+            continue;
+        const unsigned latency = latencyOf(op, cfg);
+        if (latency >= kBusWindowCycles) {
+            throw ConfigError(
+                std::string(machine) + ": " + mnemonicOf(op) +
+                " latency " + std::to_string(latency) +
+                " does not fit the " +
+                std::to_string(kBusWindowCycles) +
+                "-cycle result-bus window (memLatency must be < " +
+                std::to_string(kBusWindowCycles) + ")");
+        }
+    }
+}
 
 std::uint64_t
 CycleReservations::maskFor(ClockCycle t) const

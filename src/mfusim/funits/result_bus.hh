@@ -23,18 +23,32 @@
 #include <cstdint>
 #include <vector>
 
+#include "mfusim/core/machine_config.hh"
 #include "mfusim/core/types.hh"
 
 namespace mfusim
 {
+
+/** Cycles a CycleReservations window spans. */
+constexpr unsigned kBusWindowCycles = 64;
+
+/**
+ * Reject a configuration whose results could complete beyond the
+ * bus window: a machine that reserves result-bus slots at issue
+ * needs every result-producing latency under @p cfg (memLatency, or
+ * 14 for the reciprocal unit) below kBusWindowCycles.
+ *
+ * @throws ConfigError naming @p machine and the offending latency.
+ */
+void checkBusWindow(const MachineConfig &cfg, const char *machine);
 
 /**
  * A sliding 64-cycle window of single-cycle reservations.
  *
  * Reservations are made at absolute cycles within [base, base+64);
  * advanceTo() slides the window forward as simulated time advances.
- * 64 cycles comfortably covers the maximum operation latency (14 for
- * the reciprocal unit, 11 for slow memory).
+ * The window holds any completion whose latency is below 64 cycles;
+ * checkBusWindow() rejects configurations with longer ones.
  */
 class CycleReservations
 {

@@ -12,6 +12,8 @@
  *            with optional ",1bus" / ",xbar" and ",btfn" / ",oracle"
  *            suffixes, e.g. "ruu:4:50,1bus,oracle"
  *
+ * Numeric machine fields are bounded by the kMaxSpec* caps below.
+ *
  * Unlike the original CLI helpers these functions never exit the
  * process — bad input throws ConfigError, so a long-lived daemon can
  * map it to a 400 and keep serving.  The CLI wraps them to keep its
@@ -30,6 +32,17 @@
 
 namespace mfusim
 {
+
+/**
+ * Upper bounds on the numeric fields of a machine spec.  They sit far
+ * above anything the paper sweeps (widths 1-4, RUU sizes 10-100) and
+ * stop a request from allocating per-unit state for an absurd
+ * machine; a larger value is a ConfigError (CLI exit 3, serve 400).
+ */
+constexpr unsigned kMaxSpecWidth = 64;      //!< seq / ooo / ruu issue units
+constexpr unsigned kMaxSpecRuuSize = 4096;  //!< RUU entries
+constexpr unsigned kMaxSpecStations = 64;   //!< Tomasulo stations per FU
+constexpr unsigned kMaxSpecCdbs = 64;       //!< Tomasulo common data busses
 
 /**
  * Named standard configuration.
@@ -55,7 +68,7 @@ DynTrace traceForLoopSpec(const std::string &spec);
 /**
  * Instantiate a simulator from a machine spec string.
  * @throws ConfigError on an unknown machine / option / malformed
- *         numeric field.
+ *         numeric field, or a numeric field above its kMaxSpec* cap.
  */
 std::unique_ptr<Simulator> parseMachineSpec(const std::string &spec,
                                             const MachineConfig &cfg);

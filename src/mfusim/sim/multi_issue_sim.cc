@@ -33,6 +33,7 @@ MultiIssueSim::MultiIssueSim(const MultiIssueConfig &org,
         throw ConfigError("MultiIssueSim: fuCopies must be >= 1");
     if (org_.memPorts < 1)
         throw ConfigError("MultiIssueSim: memPorts must be >= 1");
+    checkBusWindow(cfg_, "MultiIssueSim");
     if (cfg_.predictor.armed() &&
         org_.branchPolicy != BranchPolicy::kBlocking) {
         throw ConfigError(

@@ -38,6 +38,7 @@ RuuSim::RuuSim(const RuuConfig &org, const MachineConfig &cfg)
         throw ConfigError("RuuSim: fuCopies must be >= 1");
     if (org_.memPorts < 1)
         throw ConfigError("RuuSim: memPorts must be >= 1");
+    checkBusWindow(cfg_, "RuuSim");
     if (cfg_.predictor.armed() &&
         org_.branchPolicy != BranchPolicy::kBlocking) {
         throw ConfigError(
@@ -145,7 +146,17 @@ RuuSim::runImpl(const DecodedTrace &trace)
     std::vector<Entry> ruu;
     ruu.reserve(n);
     std::size_t ruu_head = 0;
+    // RUU positions of the undispatched live entries, ascending
+    // (program order).  Dispatch walks only these, so its cost tracks
+    // the waiting entries rather than the window: dispatched entries
+    // wait out their results behind it until they commit.  At most
+    // ruuSize entries are live, so the list never reallocates.
+    std::vector<std::uint32_t> pending;
+    pending.reserve(std::min<std::size_t>(org_.ruuSize, n));
     std::vector<unsigned> bank_count(num_banks, 0);
+    std::vector<unsigned> dispatched_bank(num_banks, 0);
+    // Scratch for the steady-state refill's source window.
+    std::vector<ClockCycle> refill_src;
     std::vector<ClockCycle> result_time(n, kUnknown);
 
     FuPool pool({ FuDiscipline::kSegmented,
@@ -366,13 +377,13 @@ RuuSim::runImpl(const DecodedTrace &trace)
                         // ranges overlap (a long-lived entry ages
                         // across the skip), so shift out of a
                         // snapshot of the source window.
-                        const std::vector<ClockCycle> src(
+                        refill_src.assign(
                             result_time.begin() + (oldW - lw),
                             result_time.begin() + oldW);
                         for (std::size_t q = next_insert - lw;
                              q < next_insert; ++q) {
                             const ClockCycle s =
-                                src[q - skip->ops - (oldW - lw)];
+                                refill_src[q - skip->ops - (oldW - lw)];
                             result_time[q] = s == kUnknown
                                                  ? kUnknown
                                                  : s + skip->delta;
@@ -407,6 +418,8 @@ RuuSim::runImpl(const DecodedTrace &trace)
                 for (std::size_t e = wrong_mark; e < ruu.size(); ++e)
                     bank_count[ruu[e].bank]--;
                 ruu.resize(wrong_mark);
+                while (!pending.empty() && pending.back() >= wrong_mark)
+                    pending.pop_back();
                 wrong_mode = false;
                 insert_blocked_until = tr + cfg_.branchTime;
                 drain_from_squash = true;
@@ -454,14 +467,19 @@ RuuSim::runImpl(const DecodedTrace &trace)
         }
 
         // ---- dispatch: RUU -> functional units ---------------------
+        // Walk the waiting entries oldest first, compacting the list
+        // in place: each visited entry is kept provisionally and
+        // dropped again if it dispatches.  Entries past the dispatch
+        // cap are not visited and slide down unchanged.
         unsigned dispatched_total = 0;
-        std::vector<unsigned> dispatched_bank(num_banks, 0);
-        for (std::size_t e = ruu_head; e < ruu.size(); ++e) {
-            Entry &entry = ruu[e];
+        std::fill(dispatched_bank.begin(), dispatched_bank.end(), 0u);
+        std::size_t kept = 0;
+        std::size_t visited = 0;
+        for (; visited < pending.size(); ++visited) {
             if (dispatched_total >= dispatch_cap)
                 break;
-            if (entry.dispatched)
-                continue;
+            Entry &entry = ruu[pending[visited]];
+            pending[kept++] = pending[visited];
             if (banked && dispatched_bank[entry.bank] >= 1)
                 continue;
 
@@ -481,6 +499,7 @@ RuuSim::runImpl(const DecodedTrace &trace)
                     continue;
                 wb.reserve(entry.bank, pool.accept(wfu, t, wlat));
                 entry.dispatched = true;
+                --kept;
                 ++dispatched_total;
                 dispatched_bank[entry.bank]++;
                 progress = true;
@@ -533,11 +552,14 @@ RuuSim::runImpl(const DecodedTrace &trace)
             wb.reserve(entry.bank, ready);
             result_time[idx] = ready;
             entry.dispatched = true;
+            --kept;
             end = std::max(end, ready);
             ++dispatched_total;
             dispatched_bank[entry.bank]++;
             progress = true;
         }
+        pending.erase(pending.begin() + std::ptrdiff_t(kept),
+                      pending.begin() + std::ptrdiff_t(visited));
 
         // ---- insert: issue units -> RUU ----------------------------
         if (t < insert_blocked_until) {
@@ -569,6 +591,7 @@ RuuSim::runImpl(const DecodedTrace &trace)
                                : 0;
                     if (bank_count[bank] >= bank_cap[bank])
                         break;  // RUU (bank) full: fetch stalls
+                    pending.push_back(std::uint32_t(ruu.size()));
                     ruu.push_back(Entry{ std::uint32_t(src), bank,
                                          false, true });
                     bank_count[bank]++;
@@ -681,6 +704,7 @@ RuuSim::runImpl(const DecodedTrace &trace)
                 if constexpr (kAudit)
                     emitAudit(AuditPhase::kInsert, t, next_insert,
                               std::int32_t(bank));
+                pending.push_back(std::uint32_t(ruu.size()));
                 ruu.push_back(Entry{ std::uint32_t(next_insert), bank,
                                      false });
                 bank_count[bank]++;

@@ -43,6 +43,8 @@ ScoreboardSim::ScoreboardSim(const ScoreboardConfig &org,
         throw ConfigError("ScoreboardSim: fuCopies must be >= 1");
     if (org_.memPorts < 1)
         throw ConfigError("ScoreboardSim: memPorts must be >= 1");
+    if (org_.modelResultBus)
+        checkBusWindow(cfg_, "ScoreboardSim");
     if (cfg_.predictor.armed())
         throw ConfigError(
             "ScoreboardSim: branch prediction is not modeled for the"

@@ -1,13 +1,16 @@
 /**
  * @file
- * Harness tests: experiment runner, loop classes, paper data tables.
+ * Harness tests: experiment runner, loop classes, paper data tables,
+ * machine-spec field bounds.
  */
 
 #include <gtest/gtest.h>
 
+#include "mfusim/core/error.hh"
 #include "mfusim/core/stats.hh"
 #include "mfusim/harness/experiment.hh"
 #include "mfusim/harness/paper_data.hh"
+#include "mfusim/harness/spec_parse.hh"
 #include "mfusim/sim/scoreboard_sim.hh"
 
 namespace mfusim
@@ -176,6 +179,26 @@ TEST(PaperData, RuuOneBusNeverExceedsNBus)
             }
         }
     }
+}
+
+TEST(SpecParse, NumericFieldsOutOfRangeAreConfigError)
+{
+    const MachineConfig cfg = configM11BR5();
+    // A width that would wrap `unsigned` to 2, and a machine whose
+    // per-bank state alone would take gigabytes.
+    EXPECT_THROW(parseMachineSpec("ruu:4294967298:20", cfg), ConfigError);
+    EXPECT_THROW(parseMachineSpec("ruu:50000000:50000000", cfg),
+                 ConfigError);
+    EXPECT_THROW(parseMachineSpec("ooo:-1", cfg), ConfigError);
+    EXPECT_THROW(parseMachineSpec("seq:65", cfg), ConfigError);
+    EXPECT_THROW(parseMachineSpec("ruu:4:4097", cfg), ConfigError);
+    EXPECT_THROW(parseMachineSpec("tomasulo:65:1", cfg), ConfigError);
+    EXPECT_THROW(parseMachineSpec("tomasulo:3:65", cfg), ConfigError);
+    // The caps themselves are accepted.
+    EXPECT_EQ(parseMachineSpec("ruu:64:4096", cfg)->name(),
+              "RUU(w=64, size=4096, N-Bus)");
+    EXPECT_EQ(parseMachineSpec("tomasulo:64:64", cfg)->name(),
+              "Tomasulo(rs=64, cdb=64)");
 }
 
 } // namespace

@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include "mfusim/core/error.hh"
 #include "mfusim/funits/result_bus.hh"
+#include "mfusim/harness/trace_library.hh"
+#include "mfusim/sim/multi_issue_sim.hh"
+#include "mfusim/sim/ruu_sim.hh"
+#include "mfusim/sim/scoreboard_sim.hh"
 
 namespace mfusim
 {
@@ -113,6 +118,36 @@ TEST(ResultBusSet, Names)
     EXPECT_STREQ(busKindName(BusKind::kPerUnit), "N-Bus");
     EXPECT_STREQ(busKindName(BusKind::kSingle), "1-Bus");
     EXPECT_STREQ(busKindName(BusKind::kCrossbar), "X-Bar");
+}
+
+TEST(ResultBusWindow, LatencyBeyondWindowIsConfigError)
+{
+    // A 64-cycle load would reserve its completion one cycle past
+    // the bus window: every machine that books result busses at
+    // issue must refuse the configuration, in every build.
+    const MachineConfig tooSlow{ 64, 5, {} };
+    EXPECT_THROW(RuuSim({ 2, 20, BusKind::kPerUnit }, tooSlow),
+                 ConfigError);
+    EXPECT_THROW(MultiIssueSim({ 4, true, BusKind::kPerUnit }, tooSlow),
+                 ConfigError);
+    EXPECT_THROW(ScoreboardSim(ScoreboardConfig::crayLike(), tooSlow),
+                 ConfigError);
+}
+
+TEST(ResultBusWindow, LongestLatencyThatFitsStillRuns)
+{
+    const MachineConfig edge{ 63, 5, {} };
+    const DecodedTrace &trace = TraceLibrary::instance().decoded(1, edge);
+    RuuSim ruu({ 2, 20, BusKind::kPerUnit }, edge);
+    MultiIssueSim ooo({ 4, true, BusKind::kPerUnit }, edge);
+    ScoreboardSim cray(ScoreboardConfig::crayLike(), edge);
+    for (Simulator *sim : { static_cast<Simulator *>(&ruu),
+                            static_cast<Simulator *>(&ooo),
+                            static_cast<Simulator *>(&cray) }) {
+        const SimResult r = sim->run(trace);
+        EXPECT_EQ(r.instructions, trace.size()) << sim->name();
+        EXPECT_GT(r.cycles, 0u) << sim->name();
+    }
 }
 
 } // namespace

@@ -491,6 +491,22 @@ TEST_F(ServeE2E, BadInputsMapToFourHundreds)
     EXPECT_FALSE(err.find("error")->asString().empty());
 }
 
+TEST_F(ServeE2E, OutOfRangeSpecFieldsAre400)
+{
+    // A width that wraps `unsigned`, and a machine far above the
+    // documented caps: both are rejected before any allocation.
+    for (const char *body :
+         { R"({"loop": 1, "machine": "ruu:4294967298:20"})",
+           R"({"loop": 1, "machine": "ruu:50000000:50000000"})" }) {
+        const Response r = roundTrip(port(), "POST", "/v1/simulate", body);
+        EXPECT_EQ(r.status, 400) << body;
+        EXPECT_NE(parseJson(r.body).find("error")->asString().find(
+                      "exceeds the cap"),
+                  std::string::npos)
+            << r.body;
+    }
+}
+
 TEST_F(ServeE2E, OversizedBodyIs413)
 {
     // 64 KiB limit in the fixture; send a Content-Length beyond it.
