@@ -42,19 +42,19 @@ main()
         for (const MachineConfig &cfg :
              { configM11BR5(), configM5BR2() }) {
             // Aggregate through the observability layer: each run's
-            // StallBreakdown lands in a MetricsRegistry under the
-            // standard cycles.stall.* names, and the table is
-            // rendered from the registry.  tests cross-check that
-            // this path is count-identical to summing the
-            // SimResult fields directly.
+            // stall samples, captured by a PipeTraceRecorder, land
+            // in one MetricsRegistry under the standard
+            // cycles.stall.* names, and the table is rendered from
+            // the registry.
             MetricsRegistry reg;
             for (int id = 1; id <= 14; ++id) {
+                const DecodedTrace &trace =
+                    TraceLibrary::instance().decoded(id, cfg);
                 ScoreboardSim sim(org, cfg);
-                const SimResult r =
-                    sim.run(TraceLibrary::instance().trace(id));
-                addStallBreakdown(reg, r.stalls);
-                reg.counter("ops.total").add(r.instructions);
-                reg.counter("cycles.total").add(r.cycles);
+                PipeTraceRecorder recorder;
+                sim.attachAudit(&recorder);
+                const SimResult r = sim.run(trace);
+                populateRunMetrics(reg, trace, recorder, r, sim);
             }
             const std::uint64_t cycles =
                 reg.counterValue("cycles.total");

@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
 #include "mfusim/mfusim.hh"
 
@@ -34,19 +35,25 @@ main(int argc, char **argv)
 
     std::printf("\n=== Step 3: where do the cycles go today? ===\n");
     ScoreboardSim cray(ScoreboardConfig::crayLike(), cfg);
-    const SimResult base = cray.run(trace);
+    const DecodedTrace decoded(trace, cfg);
+    PipeTraceRecorder recorder;
+    cray.attachAudit(&recorder);
+    const SimResult base = cray.run(decoded);
+    cray.attachAudit(nullptr);
+    MetricsRegistry metrics;
+    populateRunMetrics(metrics, decoded, recorder, base, cray);
     std::printf("  CRAY-like issue rate %.3f (%llu cycles)\n",
                 base.issueRate(),
                 (unsigned long long)base.cycles);
-    const auto pct = [&base](std::uint64_t c) {
+    const auto pct = [&metrics, &base](const char *cause) {
+        const std::uint64_t c =
+            metrics.counterValue(std::string("cycles.stall.") + cause);
         return 100.0 * double(c) / double(base.cycles);
     };
     std::printf("  stalls: RAW %.0f%%  WAW %.0f%%  structural "
                 "%.0f%%  bus %.0f%%  branch %.0f%%\n",
-                pct(base.stalls.raw), pct(base.stalls.waw),
-                pct(base.stalls.structural),
-                pct(base.stalls.resultBus),
-                pct(base.stalls.branch));
+                pct("raw"), pct("waw"), pct("fu_busy"),
+                pct("bus_busy"), pct("branch"));
 
     std::printf("\n=== Step 4: try the fixes ===\n");
     struct Fix

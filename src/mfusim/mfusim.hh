@@ -49,7 +49,6 @@
 #include "mfusim/harness/sweep.hh"
 #include "mfusim/harness/trace_library.hh"
 #include "mfusim/obs/metrics.hh"
-#include "mfusim/obs/obs_sink.hh"
 #include "mfusim/obs/pipe_trace.hh"
 #include "mfusim/obs/run_metrics.hh"
 #include "mfusim/serve/http.hh"

@@ -4,7 +4,7 @@
  * stream, exported as Chrome/Perfetto trace-event JSON or an ASCII
  * pipeview.
  *
- * The recorder is a passive ObsSink: it stores each op's phase
+ * The recorder is a passive AuditSink: it stores each op's phase
  * cycles (issue / dispatch / complete, plus insert / commit for the
  * RUU) and every attributed stall sample, nothing else.  Exporters
  * then lay the schedule out on tracks:
@@ -31,13 +31,13 @@
 
 #include "mfusim/core/decoded_trace.hh"
 #include "mfusim/core/types.hh"
-#include "mfusim/obs/obs_sink.hh"
+#include "mfusim/sim/audit.hh"
 
 namespace mfusim
 {
 
 /** Records a full per-op pipeline schedule from the event stream. */
-class PipeTraceRecorder : public ObsSink
+class PipeTraceRecorder : public AuditSink
 {
   public:
     /** Phase not reached by this op (e.g. dispatch on SimpleSim). */

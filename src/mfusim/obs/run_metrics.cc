@@ -242,15 +242,4 @@ populateRunMetrics(MetricsRegistry &metrics, const DecodedTrace &trace,
     metrics.counter("steady.ops_skipped").add(result.steadyOpsSkipped);
 }
 
-void
-addStallBreakdown(MetricsRegistry &metrics,
-                  const StallBreakdown &stalls)
-{
-    metrics.counter("cycles.stall.raw").add(stalls.raw);
-    metrics.counter("cycles.stall.waw").add(stalls.waw);
-    metrics.counter("cycles.stall.fu_busy").add(stalls.structural);
-    metrics.counter("cycles.stall.bus_busy").add(stalls.resultBus);
-    metrics.counter("cycles.stall.branch").add(stalls.branch);
-}
-
 } // namespace mfusim

@@ -48,16 +48,6 @@ void populateRunMetrics(MetricsRegistry &metrics,
                         const SimResult &result,
                         const Simulator &sim);
 
-/**
- * Fold a scoreboard-family StallBreakdown into the same
- * "cycles.stall.<cause>" counters populateRunMetrics() uses
- * (structural -> fu_busy, resultBus -> bus_busy).  Lets
- * bench/stall_breakdown and fast-path runs share the registry
- * vocabulary without recording a schedule.
- */
-void addStallBreakdown(MetricsRegistry &metrics,
-                       const StallBreakdown &stalls);
-
 } // namespace mfusim
 
 #endif // MFUSIM_OBS_RUN_METRICS_HH

@@ -25,9 +25,11 @@ namespace
 constexpr std::uint32_t kFileMagic = 0x4A55464DU;   // "MFUJ" LE
 constexpr std::uint32_t kRecordMagic = 0x5255464DU; // "MFUR" LE
 // v2: payload grew the speculation counters (squashes, wrongPathOps).
-// A version bump discards v1 journals wholesale — recomputing is
-// always safe; decoding a v1 record into a v2 SimResult never is.
-constexpr std::uint32_t kSchemaVersion = 2;
+// v3: payload dropped the scoreboard stall summary (5 counters and a
+// flag).  A version bump discards older journals wholesale —
+// recomputing is always safe; decoding an old record into a new
+// SimResult never is.
+constexpr std::uint32_t kSchemaVersion = 3;
 /** Framing sanity bound: no composed key approaches this. */
 constexpr std::uint32_t kMaxPayloadBytes = 1 << 20;
 constexpr std::size_t kRecordHeaderBytes = 12;
@@ -64,23 +66,17 @@ getU64(const char *p)
     return v;
 }
 
-/** payload := keyLen key instructions cycles stalls[5] hasStalls
- *  skipped squashes wrongPathOps */
+/** payload := keyLen key instructions cycles skipped squashes
+ *  wrongPathOps */
 std::string
 encodePayload(const std::string &key, const SimResult &r)
 {
     std::string payload;
-    payload.reserve(4 + key.size() + 7 * 8 + 1 + 3 * 8);
+    payload.reserve(4 + key.size() + 5 * 8);
     putU32(payload, std::uint32_t(key.size()));
     payload.append(key);
     putU64(payload, r.instructions);
     putU64(payload, r.cycles);
-    putU64(payload, r.stalls.raw);
-    putU64(payload, r.stalls.waw);
-    putU64(payload, r.stalls.structural);
-    putU64(payload, r.stalls.resultBus);
-    putU64(payload, r.stalls.branch);
-    payload.push_back(r.hasStalls ? '\1' : '\0');
     putU64(payload, r.steadyOpsSkipped);
     putU64(payload, r.squashes);
     putU64(payload, r.wrongPathOps);
@@ -94,21 +90,15 @@ decodePayload(const char *p, std::size_t size, std::string *key,
     if (size < 4)
         return false;
     const std::uint32_t keyLen = getU32(p);
-    if (size != 4 + std::size_t(keyLen) + 7 * 8 + 1 + 3 * 8)
+    if (size != 4 + std::size_t(keyLen) + 5 * 8)
         return false;
     key->assign(p + 4, keyLen);
     const char *q = p + 4 + keyLen;
     r->instructions = getU64(q);
     r->cycles = getU64(q + 8);
-    r->stalls.raw = getU64(q + 16);
-    r->stalls.waw = getU64(q + 24);
-    r->stalls.structural = getU64(q + 32);
-    r->stalls.resultBus = getU64(q + 40);
-    r->stalls.branch = getU64(q + 48);
-    r->hasStalls = q[56] != '\0';
-    r->steadyOpsSkipped = getU64(q + 57);
-    r->squashes = getU64(q + 65);
-    r->wrongPathOps = getU64(q + 73);
+    r->steadyOpsSkipped = getU64(q + 16);
+    r->squashes = getU64(q + 24);
+    r->wrongPathOps = getU64(q + 32);
     return true;
 }
 

@@ -17,8 +17,8 @@
  *   record:  u32 magic "MFUR" | u32 payloadLen | u32 crc32(payload)
  *            | payload
  *   payload: u32 keyLen | key | u64 instructions | u64 cycles
- *            | u64 raw | u64 waw | u64 structural | u64 resultBus
- *            | u64 branch | u8 hasStalls | u64 steadyOpsSkipped
+ *            | u64 steadyOpsSkipped | u64 squashes | u64 wrongPathOps
+ *            (schema v3)
  *
  * The key is the ResultCache's fully composed key, which already
  * embeds the code version (git SHA), trace identity, config, audit

@@ -35,8 +35,8 @@ ResultCache::composeKey(const std::string &machineKey,
                         const MachineConfig &cfg, bool audited) const
 {
     // '\n' never occurs in any component, so the composition is
-    // injective.  The steady-state mode cannot change cycles or
-    // stalls (bit-identity is tested), but it does change the
+    // injective.  The steady-state mode cannot change cycles
+    // (bit-identity is tested), but it does change the
     // steadyOpsSkipped diagnostic, so it is part of the key to keep
     // cached diagnostics honest.
     //

@@ -79,13 +79,119 @@ struct AuditEvent
     AuditPhase phase;
 };
 
-/** Receiver of a simulator's audit event stream. */
+/**
+ * Why an issue stage lost cycles.  The schedule alone cannot say
+ * which hazard was binding while the issue stage sat idle, so every
+ * simulator reports it at the exact point where it resolves a wait
+ * (binding hazard in check order).  The causes mirror the paper's
+ * conflict classes:
+ *
+ *   | cause        | paper conflict class                          |
+ *   |--------------|-----------------------------------------------|
+ *   | kRaw         | data-dependency conflict (operand not ready)  |
+ *   | kWaw         | register reservation (WAW-serial completion)  |
+ *   | kFuBusy      | functional-unit conflict                      |
+ *   | kBusBusy     | result-bus / CDB completion-slot conflict     |
+ *   | kBranch      | control: condition wait + branch issue floor  |
+ *   | kBufferDrain | issue buffer / RUU window / station pool full |
+ *   | kSerial      | Simple machine's one-op-at-a-time execution   |
+ */
+enum class StallCause : std::uint8_t
+{
+    kRaw,           //!< source operand not yet available
+    kWaw,           //!< destination register still reserved
+    kFuBusy,        //!< functional unit / memory port busy
+    kBusBusy,       //!< no free result-bus / CDB completion slot
+    kBranch,        //!< branch condition wait + branch issue floor
+    kBufferDrain,   //!< issue buffer / RUU window / stations full
+    kSerial,        //!< serial execution (Simple machine)
+    kMispredict,    //!< front end fetching the wrong path
+    kSquashDrain,   //!< post-squash refetch (branchTime redirect)
+    kOther,         //!< unclassifiable (should not occur)
+    kNumCauses
+};
+
+constexpr unsigned kNumStallCauses =
+    static_cast<unsigned>(StallCause::kNumCauses);
+
+/** Stable metric-name spelling of a cause, e.g. "fu_busy". */
+inline const char *
+stallCauseName(StallCause cause)
+{
+    switch (cause) {
+      case StallCause::kRaw:         return "raw";
+      case StallCause::kWaw:         return "waw";
+      case StallCause::kFuBusy:      return "fu_busy";
+      case StallCause::kBusBusy:     return "bus_busy";
+      case StallCause::kBranch:      return "branch";
+      case StallCause::kBufferDrain: return "buffer_drain";
+      case StallCause::kSerial:      return "serial";
+      case StallCause::kMispredict:  return "mispredict";
+      case StallCause::kSquashDrain: return "squash_drain";
+      default:                       return "other";
+    }
+}
+
+/**
+ * One attributed front-end stall: the issue stage lost @p cycles
+ * consecutive cycles starting at @p from because op @p op was blocked
+ * by @p cause.  Samples from one run never overlap each other or an
+ * issue cycle, so their lengths sum into an exclusive per-cycle
+ * accounting (see obs/run_metrics.hh).
+ */
+struct StallSample
+{
+    ClockCycle from;        //!< first stalled cycle
+    ClockCycle cycles;      //!< consecutive cycles lost (>= 1)
+    std::uint64_t op;       //!< trace index of the blocked op
+    StallCause cause;
+};
+
+/**
+ * Receiver of a simulator's audit event stream and of its stall
+ * samples, the one stall accounting every simulator feeds.  Sinks
+ * that check only the schedule (Auditor) keep the no-op onStall.
+ */
 class AuditSink
 {
   public:
     virtual ~AuditSink() = default;
 
     virtual void onEvent(const AuditEvent &event) = 0;
+    virtual void onStall(const StallSample &sample) { (void)sample; }
+};
+
+/**
+ * Fan a simulator's event and stall streams out to several sinks
+ * (e.g. an Auditor and a PipeTraceRecorder in the same run).  The
+ * caller owns the children and must keep them alive across the run.
+ */
+class FanoutSink : public AuditSink
+{
+  public:
+    void
+    add(AuditSink *sink)
+    {
+        if (sink)
+            sinks_.push_back(sink);
+    }
+
+    void
+    onEvent(const AuditEvent &event) override
+    {
+        for (AuditSink *sink : sinks_)
+            sink->onEvent(event);
+    }
+
+    void
+    onStall(const StallSample &sample) override
+    {
+        for (AuditSink *sink : sinks_)
+            sink->onStall(sample);
+    }
+
+  private:
+    std::vector<AuditSink *> sinks_;
 };
 
 /**

@@ -87,8 +87,7 @@ Cdc6600Sim::runImpl(const DecodedTrace &trace)
                 for (const ClockCycle slot : bus_reserved)
                     sig.push_back(slot - base);
                 sig.push_back(end - base);  // end >= cursor: exact
-                if (const auto skip =
-                        tracker.finishObserve(base, nullptr, 0)) {
+                if (const auto skip = tracker.finishObserve(base)) {
                     i += skip->ops;
                     issue_cursor += skip->delta;
                     end += skip->delta;

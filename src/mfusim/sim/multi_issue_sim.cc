@@ -320,8 +320,7 @@ MultiIssueSim::runImpl(const DecodedTrace &trace)
                     pool.appendSignature(base, sig);
                     bus.appendSignature(base, sig);
                     sig.push_back(end - base);  // end >= t at refill
-                    if (const auto skip =
-                            tracker.finishObserve(base, nullptr, 0)) {
+                    if (const auto skip = tracker.finishObserve(base)) {
                         const std::size_t oldW = wStart;
                         wStart += skip->ops;
                         t += skip->delta;

@@ -352,8 +352,7 @@ RuuSim::runImpl(const DecodedTrace &trace)
                     }
                     pool.appendSignature(base, sig);
                     wb.appendSignature(base, sig);
-                    if (const auto skip =
-                            tracker.finishObserve(base, nullptr, 0)) {
+                    if (const auto skip = tracker.finishObserve(base)) {
                         const std::size_t oldW = next_insert;
                         next_insert += skip->ops;
                         t += skip->delta;

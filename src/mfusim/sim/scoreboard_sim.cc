@@ -91,7 +91,6 @@ ScoreboardSim::runImpl(const DecodedTrace &trace)
     checkDecodedConfig(trace, cfg_);
     SimResult result;
     result.instructions = trace.size();
-    result.hasStalls = true;
 
     std::array<ClockCycle, kNumRegs> regReady{};
     // First-element availability of vector results (== regReady for
@@ -147,13 +146,7 @@ ScoreboardSim::runImpl(const DecodedTrace &trace)
                 pool.appendSignature(base, sig);
                 bus.appendSignature(base, sig);
                 sig.push_back(end - base);  // end >= cursor: exact
-                const std::uint64_t counters[5] = {
-                    result.stalls.raw, result.stalls.waw,
-                    result.stalls.structural,
-                    result.stalls.resultBus, result.stalls.branch
-                };
-                if (const auto skip =
-                        tracker.finishObserve(base, counters, 5)) {
+                if (const auto skip = tracker.finishObserve(base)) {
                     i += skip->ops;
                     issue_cursor += skip->delta;
                     end += skip->delta;
@@ -166,11 +159,6 @@ ScoreboardSim::runImpl(const DecodedTrace &trace)
                         r += skip->delta;
                     pool.shiftTime(skip->delta);
                     bus.shiftTime(skip->delta);
-                    result.stalls.raw += skip->counters[0];
-                    result.stalls.waw += skip->counters[1];
-                    result.stalls.structural += skip->counters[2];
-                    result.stalls.resultBus += skip->counters[3];
-                    result.stalls.branch += skip->counters[4];
                 }
             }
             boundary = tracker.nextBoundary();
@@ -202,8 +190,6 @@ ScoreboardSim::runImpl(const DecodedTrace &trace)
                 // branch time.
                 const ClockCycle t =
                     std::max(issue_cursor, cond_ready);
-                result.stalls.branch +=
-                    (t - issue_cursor) + (cfg_.branchTime - 1);
                 if constexpr (kObs) {
                     emitAudit(AuditPhase::kIssue, t, i);
                     emitStall(StallCause::kBranch, issue_cursor,
@@ -234,14 +220,12 @@ ScoreboardSim::runImpl(const DecodedTrace &trace)
             t = std::max(t, chain && v_src ? chainReady[src]
                                            : regReady[src]);
         }
-        result.stalls.raw += t - issue_cursor;
         if constexpr (kObs)
             emitStall(StallCause::kRaw, issue_cursor,
                       t - issue_cursor, i);
         ClockCycle mark = t;
         if (dst != kNoReg)
             t = std::max(t, regReady[dst]);         // WAW reservation
-        result.stalls.waw += t - mark;
         if constexpr (kObs)
             emitStall(StallCause::kWaw, mark, t - mark, i);
 
@@ -252,7 +236,6 @@ ScoreboardSim::runImpl(const DecodedTrace &trace)
             trace.producesResult(i) && !vector_op;
         while (true) {
             const ClockCycle at_fu = pool.earliestAccept(fu, t);
-            result.stalls.structural += at_fu - t;
             if constexpr (kObs)
                 emitStall(StallCause::kFuBusy, t, at_fu - t, i);
             t = at_fu;
@@ -267,7 +250,6 @@ ScoreboardSim::runImpl(const DecodedTrace &trace)
                 const ClockCycle slot =
                     bus.earliestReserve(0, t + latency);
                 if (slot != t + latency) {
-                    result.stalls.resultBus += slot - (t + latency);
                     if constexpr (kObs)
                         emitStall(StallCause::kBusBusy, t,
                                   slot - (t + latency), i);

@@ -47,8 +47,7 @@ SimpleSim::runImpl(const DecodedTrace &trace) const
         if (i == boundary) {
             if (tracker.beginObserve(i)) {
                 tracker.sigBuffer();    // no live state beyond `end`
-                if (const auto skip =
-                        tracker.finishObserve(end, nullptr, 0)) {
+                if (const auto skip = tracker.finishObserve(end)) {
                     i += skip->ops;
                     end += skip->delta;
                 }

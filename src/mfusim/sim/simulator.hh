@@ -17,7 +17,6 @@
 #include "mfusim/core/decoded_trace.hh"
 #include "mfusim/core/machine_config.hh"
 #include "mfusim/core/trace.hh"
-#include "mfusim/obs/obs_sink.hh"
 #include "mfusim/sim/audit.hh"
 
 namespace mfusim
@@ -34,44 +33,18 @@ namespace mfusim
  */
 constexpr ClockCycle kDefaultWatchdogCycles = 1000000;
 
-/**
- * Where issue cycles were lost, for simulators that can attribute
- * them (currently the single-issue scoreboard family).  Each counter
- * is the number of cycles the issue stage waited on that hazard as
- * the *binding* constraint, attributed in hazard-check order
- * (RAW, then WAW, then structural, then result bus).
- */
-struct StallBreakdown
-{
-    std::uint64_t raw = 0;          //!< waiting for source operands
-    std::uint64_t waw = 0;          //!< destination register reserved
-    std::uint64_t structural = 0;   //!< functional unit / memory busy
-    std::uint64_t resultBus = 0;    //!< completion-slot conflicts
-    std::uint64_t branch = 0;       //!< condition waits + branch time
-
-    std::uint64_t
-    total() const
-    {
-        return raw + waw + structural + resultBus + branch;
-    }
-};
-
 /** Outcome of one simulation. */
 struct SimResult
 {
     std::uint64_t instructions = 0; //!< dynamic instructions issued
     ClockCycle cycles = 0;          //!< completion time of the trace
 
-    /** Valid only when hasStalls is set. */
-    StallBreakdown stalls;
-    bool hasStalls = false;
-
     /**
      * Instructions closed by steady-state extrapolation instead of
      * cycle-accurate simulation (see sim/steady_state.hh).  Purely
-     * diagnostic: cycles/stalls are bit-identical either way.  Zero
-     * when the fast path is disabled, never converged, or the trace
-     * has no periodic structure.
+     * diagnostic: cycles are bit-identical either way.  Zero when
+     * the fast path is disabled, never converged, or the trace has
+     * no periodic structure.
      */
     std::uint64_t steadyOpsSkipped = 0;
 
@@ -135,26 +108,14 @@ class Simulator
 
     /**
      * Attach (nullptr: detach) a SimAudit event sink.  With a sink
-     * attached, run() emits one AuditEvent per pipeline event; with
-     * none, emission is a single predicted-not-taken branch per
-     * event.  The caller owns the sink and must keep it alive across
-     * the run (see runAudited() for the packaged form).
+     * attached, run() emits one AuditEvent per pipeline event and
+     * one StallSample per attributed wait; with none, emission is a
+     * single predicted-not-taken branch per event.  The caller owns
+     * the sink and must keep it alive across the run (see
+     * runAudited() for the packaged form).
      */
-    void
-    attachAudit(AuditSink *sink)
-    {
-        audit_ = sink;
-        obs_ = dynamic_cast<ObsSink *>(sink);
-    }
+    void attachAudit(AuditSink *sink) { audit_ = sink; }
     AuditSink *auditSink() const { return audit_; }
-
-    /**
-     * The attached sink's observability interface, or nullptr when
-     * no sink is attached or the sink is a plain AuditSink.  Stall
-     * samples (emitStall) reach only ObsSinks; plain auditors see
-     * the unchanged event stream.
-     */
-    ObsSink *obsSink() const { return obs_; }
 
     /**
      * The legality invariants an Auditor should enforce for this
@@ -175,7 +136,7 @@ class Simulator
 
     /**
      * Report @p cycles consecutive lost issue cycles starting at
-     * @p from, attributed to @p cause, if an ObsSink is attached.
+     * @p from, attributed to @p cause, if a sink is attached.
      * Zero-length waits are swallowed here so call sites can report
      * every resolved max() unconditionally.
      */
@@ -183,13 +144,12 @@ class Simulator
     emitStall(StallCause cause, ClockCycle from, ClockCycle cycles,
               std::uint64_t op) const
     {
-        if (obs_ && cycles)
-            obs_->onStall(StallSample{ from, cycles, op, cause });
+        if (audit_ && cycles)
+            audit_->onStall(StallSample{ from, cycles, op, cause });
     }
 
   private:
     AuditSink *audit_ = nullptr;
-    ObsSink *obs_ = nullptr;
 };
 
 /**

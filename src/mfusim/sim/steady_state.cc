@@ -131,11 +131,8 @@ SteadyStateTracker::cancelObserve()
 }
 
 std::optional<SteadyStateTracker::Skip>
-SteadyStateTracker::finishObserve(ClockCycle base,
-                                  const std::uint64_t *counters,
-                                  std::size_t numCounters)
+SteadyStateTracker::finishObserve(ClockCycle base)
 {
-    assert(numCounters <= kMaxCounters);
     const TraceSegment &seg = *seg_;
     const std::size_t k = obsBoundary_;
     // The cursor-boundary offset is part of the state: only
@@ -188,10 +185,6 @@ SteadyStateTracker::finishObserve(ClockCycle base,
                     std::uint64_t(groups) * m * seg.period;
                 assert(base > match->base);
                 skip.delta = ClockCycle(groups) * (base - match->base);
-                for (std::size_t c = 0; c < numCounters; ++c) {
-                    skip.counters[c] = std::uint64_t(groups) *
-                        (counters[c] - match->counters[c]);
-                }
                 opsSkipped_ += skip.ops;
                 landing = k + groups * m;
                 out = skip;
@@ -215,9 +208,6 @@ SteadyStateTracker::finishObserve(ClockCycle base,
         rec.valid = true;
         rec.boundary = k;
         rec.base = base;
-        rec.counters.fill(0);
-        for (std::size_t c = 0; c < numCounters; ++c)
-            rec.counters[c] = counters[c];
         rec.sig = sig_;
     }
 

@@ -11,9 +11,9 @@
  * the boundary's cursor — then every subsequent group of m
  * iterations replays the same schedule shifted by a constant cycle
  * delta.  The remaining iterations can then be closed in O(1): shift
- * every live time by R*delta, advance the op cursor by R*m periods
- * and add R times the per-group stall deltas.  Integer cycle
- * arithmetic makes the extrapolation exact, not approximate.
+ * every live time by R*delta and advance the op cursor by R*m
+ * periods.  Integer cycle arithmetic makes the extrapolation exact,
+ * not approximate.
  *
  * SteadyStateTracker implements the boundary bookkeeping shared by
  * all six simulators.  A simulator
@@ -28,8 +28,8 @@
  *     identically; quantities consumed as exact differences, like
  *     the watchdog's last-event cycle, must be encoded exactly);
  *  3. calls finishObserve(); on a returned Skip it advances its op
- *     cursor by Skip::ops, shifts every stored time by Skip::delta
- *     and adds Skip::counters to its stall counters.
+ *     cursor by Skip::ops and shifts every stored time by
+ *     Skip::delta.
  *
  * A skip is only offered after two *consecutive* observed boundaries
  * match at the same iteration distance m (K = 2 confirmations), and
@@ -96,24 +96,21 @@ class SteadyStateTracker
      *  the boundary state recurs, so the ring reaches well past the
      *  common super-periods of 2..8 boundaries. */
     static constexpr std::size_t kRing = 48;
-    static constexpr std::size_t kMaxCounters = 6;
 
-    /** Extrapolation order returned by finishObserve(). */
+    /**
+     * Extrapolation order returned by finishObserve().
+     *
+     * Simulators with per-op completion arrays refill their lookback
+     * window behind the landing cursor with the plain state shift —
+     * completion[q] = completion[q - ops] + delta — the source index
+     * has the same cursor-relative phase as q and lies in the
+     * exactly simulated prefix (the simulator guards cursor >= window
+     * before observing).
+     */
     struct Skip
     {
         std::uint64_t ops = 0;      //!< add to the op cursor
         ClockCycle delta = 0;       //!< add to every live stored time
-        /**
-         * Add to the run's stall counters (same order as passed).
-         *
-         * Simulators with per-op completion arrays refill their
-         * lookback window behind the landing cursor with the plain
-         * state shift — completion[q] = completion[q - ops] + delta —
-         * the source index has the same cursor-relative phase as q
-         * and lies in the exactly simulated prefix (the simulator
-         * guards cursor >= window before observing).
-         */
-        std::array<std::uint64_t, kMaxCounters> counters{};
     };
 
     /**
@@ -157,12 +154,9 @@ class SteadyStateTracker
 
     /**
      * Record the observation and try to extrapolate.  @p base is the
-     * normalization base; @p counters (numCounters <= kMaxCounters)
-     * are the run's monotone stall counters at this boundary.
+     * normalization base.
      */
-    std::optional<Skip> finishObserve(ClockCycle base,
-                                      const std::uint64_t *counters,
-                                      std::size_t numCounters);
+    std::optional<Skip> finishObserve(ClockCycle base);
 
     /** Total ops closed by extrapolation so far. */
     std::uint64_t opsSkipped() const { return opsSkipped_; }
@@ -173,7 +167,6 @@ class SteadyStateTracker
         bool valid = false;
         std::size_t boundary = 0;   //!< boundary index k in segment
         ClockCycle base = 0;
-        std::array<std::uint64_t, kMaxCounters> counters{};
         std::vector<std::uint64_t> sig;
     };
 

@@ -156,8 +156,7 @@ TomasuloSim::runImpl(const DecodedTrace &trace)
                     appendSet(bus, base, sig);
                 }
                 sig.push_back(end - base);  // end >= cursor: exact
-                if (const auto skip =
-                        tracker.finishObserve(base, nullptr, 0)) {
+                if (const auto skip = tracker.finishObserve(base)) {
                     i += skip->ops;
                     issue_cursor += skip->delta;
                     end += skip->delta;

@@ -413,13 +413,14 @@ TEST(Metrics, ConcurrentRecordersMergeWithoutLostCounts)
 }
 
 // ---------------------------------------------------------------
-// FanoutSink: events reach every child, stalls only obs children.
+// FanoutSink: events and stalls reach every child.
 
-TEST(ObsSink, FanoutForwardsToAllChildren)
+TEST(FanoutSink, ForwardsToAllChildren)
 {
     PipeTraceRecorder a, b;
     FanoutSink fanout;
     fanout.add(&a);
+    fanout.add(nullptr);    // ignored
     fanout.add(&b);
     fanout.onEvent(AuditEvent{ 3, 0, 1, AuditPhase::kIssue });
     fanout.onStall(StallSample{ 4, 2, 0, StallCause::kRaw });
@@ -558,7 +559,9 @@ TEST(ObsAllSims, StallIdentityHolds)
 TEST(ObsAllSims, InstrumentedRunMatchesFastPath)
 {
     // Attaching a sink disables the steady-state fast path; the
-    // result must nevertheless be identical to the default run.
+    // result must nevertheless be identical to the default run, and
+    // the recorded stall stream must account for the default run's
+    // cycles exactly.
     const MachineConfig cfg = configM11BR5();
     const DecodedTrace trace(TraceLibrary::instance().trace(7), cfg);
     for (NamedSim &entry : allSims(cfg)) {
@@ -570,14 +573,22 @@ TEST(ObsAllSims, InstrumentedRunMatchesFastPath)
         EXPECT_EQ(fast.cycles, slow.cycles) << entry.name;
         EXPECT_EQ(fast.instructions, slow.instructions)
             << entry.name;
-        if (fast.hasStalls && slow.hasStalls) {
-            EXPECT_EQ(fast.stalls.raw, slow.stalls.raw)
-                << entry.name;
-            EXPECT_EQ(fast.stalls.branch, slow.stalls.branch)
-                << entry.name;
-        }
         // The instrumented run must not have taken the fast path.
         EXPECT_EQ(slow.steadyOpsSkipped, 0u) << entry.name;
+
+        MetricsRegistry reg;
+        ASSERT_NO_THROW(
+            populateRunMetrics(reg, trace, rec, fast, *entry.sim))
+            << entry.name;
+        std::uint64_t stall = 0;
+        for (unsigned c = 0; c < kNumStallCauses; ++c)
+            stall += reg.counterValue(std::string("cycles.stall.") +
+                                      stallCauseName(StallCause(c)));
+        EXPECT_GT(stall, 0u) << entry.name;
+        EXPECT_EQ(fast.cycles,
+                  reg.counterValue("cycles.front_active") + stall +
+                      reg.counterValue("cycles.drain"))
+            << entry.name;
     }
 }
 

@@ -82,13 +82,11 @@ sampleResult(std::uint64_t seed)
     SimResult r;
     r.instructions = 1000 + seed;
     r.cycles = 500 + seed * 3;
-    r.stalls.raw = seed;
-    r.stalls.waw = seed + 1;
-    r.stalls.structural = seed + 2;
-    r.stalls.resultBus = seed + 3;
-    r.stalls.branch = seed + 4;
-    r.hasStalls = true;
     r.steadyOpsSkipped = seed * 7;
+    // Distinct from every other field, so a swapped decode offset
+    // cannot round-trip.
+    r.squashes = seed * 11 + 1;
+    r.wrongPathOps = seed * 13 + 2;
     return r;
 }
 
@@ -97,13 +95,9 @@ expectSameResult(const SimResult &a, const SimResult &b)
 {
     EXPECT_EQ(a.instructions, b.instructions);
     EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.stalls.raw, b.stalls.raw);
-    EXPECT_EQ(a.stalls.waw, b.stalls.waw);
-    EXPECT_EQ(a.stalls.structural, b.stalls.structural);
-    EXPECT_EQ(a.stalls.resultBus, b.stalls.resultBus);
-    EXPECT_EQ(a.stalls.branch, b.stalls.branch);
-    EXPECT_EQ(a.hasStalls, b.hasStalls);
     EXPECT_EQ(a.steadyOpsSkipped, b.steadyOpsSkipped);
+    EXPECT_EQ(a.squashes, b.squashes);
+    EXPECT_EQ(a.wrongPathOps, b.wrongPathOps);
 }
 
 TEST_F(PersistCacheTest, RoundTripIsBitIdentical)
@@ -171,7 +165,7 @@ TEST_F(PersistCacheTest, ChecksumFailureDiscardsTheRecord)
         journal.append("b", sampleResult(2));
     }
     // Corrupt one payload byte of the last record (its
-    // steadyOpsSkipped field is a small number, so 0x5a is a flip).
+    // wrongPathOps field is a small number, so 0x5a is a flip).
     {
         std::fstream f(journalPath(),
                        std::ios::binary | std::ios::in | std::ios::out);
@@ -222,6 +216,50 @@ TEST_F(PersistCacheTest, VersionMismatchWipesTheFile)
     std::unordered_map<std::string, SimResult> again;
     EXPECT_EQ(recover("build-B", &again).recovered, 1u);
     expectSameResult(again.at("b"), sampleResult(2));
+}
+
+void
+putU32(std::string &out, std::uint32_t v)
+{
+    for (int i = 0; i < 4; ++i)
+        out.push_back(char((v >> (8 * i)) & 0xff));
+}
+
+TEST_F(PersistCacheTest, OlderSchemaIsWiped)
+{
+    // A schema-2 journal written by the same build: header and one
+    // well-framed v2 record (keyLen key, then instructions, cycles,
+    // five stall counters, a stall flag byte, steadyOpsSkipped,
+    // squashes and wrongPathOps).  Only the schema number tells it
+    // apart, and that alone must wipe it.
+    const std::string version = "v1";
+    std::string file;
+    putU32(file, 0x4A55464DU);  // "MFUJ"
+    putU32(file, 2);
+    putU32(file, std::uint32_t(version.size()));
+    putU32(file,
+           PersistentCache::crc32(version.data(), version.size()));
+    file += version;
+    std::string payload;
+    putU32(payload, 1);
+    payload += "a";
+    payload.append(7 * 8, '\1');
+    payload.push_back('\1');
+    payload.append(3 * 8, '\0');
+    putU32(file, 0x5255464DU);  // "MFUR"
+    putU32(file, std::uint32_t(payload.size()));
+    putU32(file, PersistentCache::crc32(payload.data(), payload.size()));
+    file += payload;
+    {
+        std::ofstream f(journalPath(), std::ios::binary);
+        f << file;
+    }
+    std::unordered_map<std::string, SimResult> warm;
+    const PersistLoadStats load = recover(version, &warm);
+    EXPECT_EQ(load.discardedVersion, 1u);
+    EXPECT_EQ(load.recovered, 0u);
+    EXPECT_EQ(load.truncatedBytes, file.size());
+    EXPECT_TRUE(warm.empty());
 }
 
 TEST_F(PersistCacheTest, GarbageFileIsWiped)

@@ -88,7 +88,6 @@ expectSameResult(const SimResult &got, const SimResult &want,
     EXPECT_EQ(got.steadyOpsSkipped, want.steadyOpsSkipped) << what;
     EXPECT_EQ(got.squashes, want.squashes) << what;
     EXPECT_EQ(got.wrongPathOps, want.wrongPathOps) << what;
-    EXPECT_EQ(got.hasStalls, want.hasStalls) << what;
 }
 
 // ---- PredictorSpec parsing / keys ------------------------------------

