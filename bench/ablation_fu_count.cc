@@ -29,13 +29,12 @@ namespace
 
 double
 ruuRate(LoopClass cls, const MachineConfig &cfg, unsigned fu,
-        unsigned mem, BranchPolicy policy)
+        unsigned mem, const PredictorSpec &pred)
 {
     return meanIssueRate(
-        [fu, mem, policy](const MachineConfig &c)
-            -> std::unique_ptr<Simulator> {
-            RuuConfig org{ 4, 100, BusKind::kPerUnit, policy, fu,
-                           mem };
+        [fu, mem, pred](MachineConfig c) -> std::unique_ptr<Simulator> {
+            c.predictor = pred;
+            RuuConfig org{ 4, 100, BusKind::kPerUnit, fu, mem };
             return std::make_unique<RuuSim>(org, c);
         },
         cls, cfg);
@@ -66,6 +65,7 @@ main()
         "ports;\n blocking branches vs oracle prediction, M11BR5)\n\n");
 
     const MachineConfig cfg = configM11BR5();
+    const PredictorSpec oracle = PredictorSpec::parse("perfect:w0");
     AsciiTable table;
     table.setHeader({ "Code", "fu x mem", "blocking", "oracle",
                       "resource limit" });
@@ -87,10 +87,8 @@ main()
             table.addRow({
                 loopClassName(cls),
                 std::to_string(fu) + " x " + std::to_string(mem),
-                AsciiTable::num(ruuRate(cls, cfg, fu, mem,
-                                        BranchPolicy::kBlocking)),
-                AsciiTable::num(ruuRate(cls, cfg, fu, mem,
-                                        BranchPolicy::kOracle)),
+                AsciiTable::num(ruuRate(cls, cfg, fu, mem, {})),
+                AsciiTable::num(ruuRate(cls, cfg, fu, mem, oracle)),
                 AsciiTable::num(harmonicMean(limit_rates)),
             });
         }

@@ -5,8 +5,9 @@
  * The paper deliberately studies machines with no branch
  * speculation.  This bench quantifies that choice: every machine is
  * rerun under a static BTFN predictor and under a perfect oracle,
- * bracketing what any prediction scheme could add on top of the
- * paper's results.
+ * both without wrong-path fetch (btfn:w0, perfect:w0), bracketing
+ * what any prediction scheme could add on top of the paper's
+ * results.
  */
 
 #include <cstdio>
@@ -52,17 +53,16 @@ main()
     for (const LoopClass cls :
          { LoopClass::kScalar, LoopClass::kVectorizable }) {
         const auto sweep = [&](const char *name,
-                               const std::function<std::unique_ptr<
-                                   Simulator>(const MachineConfig &,
-                                              BranchPolicy)> &make) {
+                               const SimFactory &make) {
             double rates[3];
             int idx = 0;
-            for (const BranchPolicy policy :
-                 { BranchPolicy::kBlocking, BranchPolicy::kBtfn,
-                   BranchPolicy::kOracle }) {
+            for (const PredictorSpec &pred :
+                 { PredictorSpec{}, PredictorSpec::parse("btfn:w0"),
+                   PredictorSpec::parse("perfect:w0") }) {
                 rates[idx++] = meanIssueRate(
-                    [&make, policy](const MachineConfig &c) {
-                        return make(c, policy);
+                    [&make, &pred](MachineConfig c) {
+                        c.predictor = pred;
+                        return make(c);
                     },
                     cls, cfg);
             }
@@ -78,24 +78,20 @@ main()
         };
 
         sweep("CRAY-like",
-              [](const MachineConfig &c, BranchPolicy policy)
-                  -> std::unique_ptr<Simulator> {
-                  ScoreboardConfig org = ScoreboardConfig::crayLike();
-                  org.branchPolicy = policy;
-                  return std::make_unique<ScoreboardSim>(org, c);
+              [](const MachineConfig &c) -> std::unique_ptr<Simulator> {
+                  return std::make_unique<ScoreboardSim>(
+                      ScoreboardConfig::crayLike(), c);
               });
         sweep("OOO issue (w=4)",
-              [](const MachineConfig &c, BranchPolicy policy)
-                  -> std::unique_ptr<Simulator> {
-                  MultiIssueConfig org{ 4, true, BusKind::kPerUnit,
-                                        false, policy };
-                  return std::make_unique<MultiIssueSim>(org, c);
+              [](const MachineConfig &c) -> std::unique_ptr<Simulator> {
+                  return std::make_unique<MultiIssueSim>(
+                      MultiIssueConfig{ 4, true, BusKind::kPerUnit },
+                      c);
               });
         sweep("RUU (w=4, 100)",
-              [](const MachineConfig &c, BranchPolicy policy)
-                  -> std::unique_ptr<Simulator> {
-                  RuuConfig org{ 4, 100, BusKind::kPerUnit, policy };
-                  return std::make_unique<RuuSim>(org, c);
+              [](const MachineConfig &c) -> std::unique_ptr<Simulator> {
+                  return std::make_unique<RuuSim>(
+                      RuuConfig{ 4, 100, BusKind::kPerUnit }, c);
               });
         table.addRule();
     }

@@ -9,7 +9,6 @@
 #include <cassert>
 #include <limits>
 
-#include "mfusim/core/branch_policy.hh"
 #include "mfusim/core/error.hh"
 #include "mfusim/core/registers.hh"
 

@@ -52,9 +52,10 @@ struct MachineConfig
     unsigned branchTime = 5;
 
     /**
-     * Branch-predictor axis (disarmed by default).  When armed, the
-     * speculative simulators fetch down the predicted path and
-     * squash on mispredicts instead of blocking the front end; the
+     * The branch model (disarmed by default: every branch blocks,
+     * as in the paper).  When armed, a correctly predicted branch
+     * costs one issue slot; a mispredict blocks (":w0") or fetches
+     * down the wrong path and squashes (MultiIssue / RUU).  The
      * paper-mode configurations all leave this at kNone.
      */
     PredictorSpec predictor;

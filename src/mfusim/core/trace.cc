@@ -5,8 +5,6 @@
 
 #include "mfusim/core/trace.hh"
 
-#include "mfusim/core/branch_policy.hh"
-
 namespace mfusim
 {
 

@@ -48,6 +48,19 @@ struct DynOp
 };
 
 /**
+ * True if the static backward-taken / forward-not-taken predictor
+ * gets a branch right.
+ *
+ * @param backward the branch target precedes the branch
+ * @param taken    the resolved outcome
+ */
+constexpr bool
+btfnCorrect(bool backward, bool taken)
+{
+    return backward == taken;
+}
+
+/**
  * Cycles an instruction holds its (pipelined) execution resource:
  * one per element for vector compute/memory ops, otherwise 1.
  * kVSetLen records the new VL in its vl field but is an ordinary

@@ -75,19 +75,21 @@ parseMachineSpec(const std::string &spec, const MachineConfig &cfg)
         throw ConfigError("empty machine spec");
 
     BusKind bus = BusKind::kPerUnit;
-    BranchPolicy policy = BranchPolicy::kBlocking;
     // ",pred=<spec>" arms a branch predictor on this machine's copy
-    // of the config (MultiIssue / RUU only; others reject it).
+    // of the config; ",btfn" and ",oracle" are aliases for
+    // pred=btfn:w0 and pred=perfect:w0 that combine with no other
+    // predictor.
     MachineConfig machineCfg = cfg;
+    const char *alias = nullptr;
     for (std::size_t i = 1; i < parts.size(); ++i) {
         if (parts[i] == "1bus")
             bus = BusKind::kSingle;
         else if (parts[i] == "xbar")
             bus = BusKind::kCrossbar;
         else if (parts[i] == "btfn")
-            policy = BranchPolicy::kBtfn;
+            alias = "btfn:w0";
         else if (parts[i] == "oracle")
-            policy = BranchPolicy::kOracle;
+            alias = "perfect:w0";
         else if (parts[i].rfind("pred=", 0) == 0) {
             machineCfg.predictor =
                 PredictorSpec::parse(parts[i].substr(5));
@@ -95,6 +97,13 @@ parseMachineSpec(const std::string &spec, const MachineConfig &cfg)
         } else
             throw ConfigError("unknown machine option '" + parts[i] +
                               "'");
+    }
+    if (alias != nullptr) {
+        if (machineCfg.predictor.armed())
+            throw ConfigError("machine spec '" + spec +
+                              "': ,btfn / ,oracle already choose the"
+                              " predictor; drop the other one");
+        machineCfg.predictor = PredictorSpec::parse(alias);
     }
 
     // Split the machine name on colons: name[:w[:size]].
@@ -140,25 +149,22 @@ parseMachineSpec(const std::string &spec, const MachineConfig &cfg)
                 fields[0] == "nonseg" ?
                     ScoreboardConfig::nonSegmented() :
                     ScoreboardConfig::crayLike();
-        org.branchPolicy = policy;
         return std::make_unique<ScoreboardSim>(org, machineCfg);
     }
     if (fields[0] == "seq" || fields[0] == "ooo") {
         MultiIssueConfig org{ arg(1, kMaxSpecWidth, "width"),
-                              fields[0] == "ooo", bus, false, policy };
+                              fields[0] == "ooo", bus };
         return std::make_unique<MultiIssueSim>(org, machineCfg);
     }
     if (fields[0] == "ruu") {
         RuuConfig org{ arg(1, kMaxSpecWidth, "width"),
-                       arg(2, kMaxSpecRuuSize, "RUU size"), bus,
-                       policy };
+                       arg(2, kMaxSpecRuuSize, "RUU size"), bus };
         return std::make_unique<RuuSim>(org, machineCfg);
     }
     if (fields[0] == "cdc") {
         Cdc6600Config org;
         // ",xbar" lifts the single-result-bus completion model.
         org.modelResultBus = bus != BusKind::kCrossbar;
-        org.branchPolicy = policy;
         return std::make_unique<Cdc6600Sim>(org, machineCfg);
     }
     if (fields[0] == "tomasulo") {
@@ -167,7 +173,6 @@ parseMachineSpec(const std::string &spec, const MachineConfig &cfg)
             org.stationsPerFu = arg(1, kMaxSpecStations, "stations");
         if (fields.size() > 2)
             org.cdbCount = arg(2, kMaxSpecCdbs, "CDB count");
-        org.branchPolicy = policy;
         return std::make_unique<TomasuloSim>(org, machineCfg);
     }
     throw ConfigError("unknown machine '" + parts[0] + "'");

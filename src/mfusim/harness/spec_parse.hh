@@ -9,8 +9,10 @@
  *   machine  simple | serialmem | nonseg | cray | cdc |
  *            tomasulo[:<rs>[:<cdb>]] | seq:<w> | ooo:<w> |
  *            ruu:<w>:<size>
- *            with optional ",1bus" / ",xbar" and ",btfn" / ",oracle"
- *            suffixes, e.g. "ruu:4:50,1bus,oracle"
+ *            with optional ",1bus" / ",xbar" and ",pred=<predictor>"
+ *            suffixes, e.g. "ruu:4:50,1bus,pred=2bit"; ",btfn" and
+ *            ",oracle" are aliases for ",pred=btfn:w0" and
+ *            ",pred=perfect:w0"
  *
  * Numeric machine fields are bounded by the kMaxSpec* caps below.
  *

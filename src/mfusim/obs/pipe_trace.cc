@@ -264,7 +264,8 @@ writePipeview(std::ostream &os, const PipeTraceRecorder &recorder,
           "= exec, . wait)\n";
 
     for (std::size_t i = 0; i < shown; ++i) {
-        char buf[32];
+        // Widest row head: a 20-digit index, ' ', 10 chars, " |".
+        char buf[34];
         std::snprintf(buf, sizeof(buf), "%5zu %-10.10s |", i,
                       mnemonicOf(trace.op(i)));
         os << buf;

@@ -81,14 +81,8 @@ Auditor::describeOp(std::uint64_t i) const
 bool
 Auditor::predictedFree(std::uint64_t i) const
 {
-    if (!trace_.isBranch(i))
-        return false;
-    if (rules_.predictor.armed())
-        return predOk_[i] != 0;
-    if (rules_.branchPolicy == BranchPolicy::kOracle)
-        return true;
-    return rules_.branchPolicy == BranchPolicy::kBtfn &&
-        trace_.btfnCorrect(i);
+    return rules_.predictor.armed() && trace_.isBranch(i) &&
+        predOk_[i] != 0;
 }
 
 ClockCycle
@@ -266,7 +260,7 @@ Auditor::checkFrontOrder()
                      std::to_string(floor_branch));
         }
         if (trace_.isBranch(i) && !predictedFree(i)) {
-            if (rules_.predictor.armed()) {
+            if (rules_.predictor.speculates()) {
                 // Speculative mispredict: the branch issues without
                 // waiting for its condition; the floor for younger
                 // right-path ops starts at the squash, one redirect
@@ -631,17 +625,18 @@ void
 Auditor::checkSpeculation()
 {
     const std::size_t n = trace_.size();
-    if (!rules_.predictor.armed()) {
-        // A disarmed organization must not emit speculation events.
+    if (!rules_.predictor.speculates()) {
+        // An organization without wrong-path fetch must not emit
+        // speculation events.
         if (!wrongPath_.empty()) {
             const AuditEvent &ev = wrongPath_.front();
             fail("unexpected-wrong-path", ev.cycle, ev.op,
-                 "wrong-path event without an armed predictor");
+                 "wrong-path event without a wrong-path window");
         }
         for (std::size_t i = 0; i < n; ++i) {
             if (squash_[i] != kNoCycle)
                 fail("unexpected-squash", squash_[i], i,
-                     "squash event without an armed predictor");
+                     "squash event without a wrong-path window");
         }
         return;
     }

@@ -7,8 +7,8 @@
 
 #include <algorithm>
 #include <array>
-
 #include <set>
+#include <vector>
 
 #include "mfusim/core/error.hh"
 #include "mfusim/funits/fu_pool.hh"
@@ -54,11 +54,18 @@ Cdc6600Sim::runImpl(const DecodedTrace &trace)
 
     const std::size_t n = trace.size();
 
+    // Per-branch predicted-correct bits, replayed once per run.
+    const bool armed = cfg_.predictor.armed();
+    std::vector<std::uint8_t> predOk;
+    if (armed)
+        predOk = precomputePredictions(trace, cfg_.predictor);
+
     // Steady-state fast path (see sim/steady_state.hh; off under
     // audit).  Boundary state: live register ready times, waiting
     // stations, the pool, and the outstanding bus reservations, all
     // rebased to the issue cursor.
-    const bool steady = steadyStateEnabled() && !kObs;
+    const bool steady = steadyStateEnabled() && !kObs &&
+        cfg_.predictor.allowsSteadyState();
     SteadyStateTracker tracker(steady ? &trace.periodicity() : nullptr,
                                n);
     std::size_t boundary = tracker.nextBoundary();
@@ -111,34 +118,11 @@ Cdc6600Sim::runImpl(const DecodedTrace &trace)
         const RegId dst = trace.dst(i);
 
         if (trace.isBranch(i)) {
-            const ClockCycle cond_ready =
-                srcA != kNoReg ? regReady[srcA] : 0;
-            const bool predicted_free =
-                org_.branchPolicy == BranchPolicy::kOracle ||
-                (org_.branchPolicy == BranchPolicy::kBtfn &&
-                 trace.btfnCorrect(i));
-            if (predicted_free) {
-                const ClockCycle t = issue_cursor;
-                if constexpr (kObs)
-                    emitAudit(AuditPhase::kIssue, t, i);
-                issue_cursor = t + 1;
-                end = std::max(end, t + 1);
-            } else {
-                // The 6600 resolves branches in the unified exchange
-                // pipeline; we keep the paper's uniform rule: wait
-                // for the condition, then block for the branch time.
-                const ClockCycle t =
-                    std::max(issue_cursor, cond_ready);
-                if constexpr (kObs) {
-                    emitAudit(AuditPhase::kIssue, t, i);
-                    emitStall(StallCause::kBranch, issue_cursor,
-                              t - issue_cursor, i);
-                    emitStall(StallCause::kBranch, t + 1,
-                              cfg_.branchTime - 1, i);
-                }
-                issue_cursor = t + cfg_.branchTime;
-                end = std::max(end, t + cfg_.branchTime);
-            }
+            // The 6600 resolves branches in the unified exchange
+            // pipeline; we keep the paper's uniform rule.
+            issueBranch<kObs>(i, armed && predOk[i],
+                              srcA != kNoReg ? regReady[srcA] : 0,
+                              cfg_.branchTime, issue_cursor, end);
             continue;
         }
 
@@ -226,7 +210,7 @@ Cdc6600Sim::auditRules() const
     rules.checkBranchFloor = true;
     rules.wawOrdered = true;
     rules.completionConsistent = true;
-    rules.branchPolicy = org_.branchPolicy;
+    rules.predictor = cfg_.predictor;
     rules.busCount = org_.modelResultBus ? 1 : 0;
     rules.busKind = BusKind::kSingle;
     rules.checkFuCaps = true;

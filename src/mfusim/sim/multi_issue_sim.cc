@@ -34,13 +34,6 @@ MultiIssueSim::MultiIssueSim(const MultiIssueConfig &org,
     if (org_.memPorts < 1)
         throw ConfigError("MultiIssueSim: memPorts must be >= 1");
     checkBusWindow(cfg_, "MultiIssueSim");
-    if (cfg_.predictor.armed() &&
-        org_.branchPolicy != BranchPolicy::kBlocking) {
-        throw ConfigError(
-            "MultiIssueSim: an armed predictor replaces the branch"
-            " policy; combine it only with the default blocking"
-            " policy");
-    }
 }
 
 std::string
@@ -60,7 +53,6 @@ MultiIssueSim::cacheKey() const
         "|w=" + std::to_string(org_.width) +
         "|bus=" + busKindName(org_.busKind) +
         "|war=" + (org_.blockWar ? "1" : "0") +
-        "|bp=" + branchPolicyName(org_.branchPolicy) +
         "|fuc=" + std::to_string(org_.fuCopies) +
         "|mp=" + std::to_string(org_.memPorts) +
         "|wd=" + std::to_string(org_.watchdogCycles) +
@@ -94,32 +86,24 @@ MultiIssueSim::runImpl(const DecodedTrace &trace)
             "scalar-only; use ScoreboardSim)");
     }
 
-    // Armed predictor: the front end speculates down the predicted
-    // path.  Prediction outcomes are precomputed once in trace order
-    // (they are timing-independent; wrong-path ops never update the
-    // predictor) and replace the static branch-policy logic below.
-    const bool spec = cfg_.predictor.armed();
+    // Armed predictor: prediction outcomes are precomputed once in
+    // trace order (they are timing-independent; wrong-path ops never
+    // update the predictor).  With a wrong-path window the front end
+    // also speculates down the predicted path past a mispredict.
+    const bool armed = cfg_.predictor.armed();
+    const bool spec = cfg_.predictor.speculates();
     std::vector<std::uint8_t> predOk;
-    if (spec)
+    if (armed)
         predOk = precomputePredictions(trace, cfg_.predictor);
 
     // A branch is "predicted free" when it resolves without gating
-    // the stream: a correctly predicted branch under an armed
-    // predictor, oracle always, BTFN when the static prediction
-    // matches the outcome.
-    const auto predicted_free = [this, &trace, spec,
+    // the stream: a correctly predicted branch.
+    const auto predicted_free = [&trace, armed,
                                  &predOk](std::size_t j) {
-        if (!trace.isBranch(j))
-            return false;
-        if (spec)
-            return predOk[j] != 0;
-        if (org_.branchPolicy == BranchPolicy::kOracle)
-            return true;
-        return org_.branchPolicy == BranchPolicy::kBtfn &&
-            trace.btfnCorrect(j);
+        return armed && trace.isBranch(j) && predOk[j] != 0;
     };
     // A branch issues without waiting for its condition when the
-    // front end carries on past it: any branch under an armed
+    // front end carries on past it: any branch under a speculating
     // predictor (a mispredicted one resolves — and squashes — in the
     // background), otherwise exactly the predicted-free ones.
     const auto issue_free = [&trace, spec,
@@ -127,16 +111,12 @@ MultiIssueSim::runImpl(const DecodedTrace &trace)
         return spec ? trace.isBranch(j) : predicted_free(j);
     };
     // A branch squashes the buffer slots behind it when the machine
-    // must refetch: any mispredicted branch under an armed predictor
-    // or BTFN, or a taken branch under the blocking policy.
-    const auto squashes = [this, &trace, spec,
+    // must refetch: any mispredicted branch, or a taken branch when
+    // no predictor is armed.
+    const auto squashes = [&trace, armed,
                            &predicted_free](std::size_t j) {
-        if (!trace.isBranch(j) || predicted_free(j))
-            return false;
-        if (spec)
-            return true;
-        return trace.taken(j) ||
-            org_.branchPolicy == BranchPolicy::kBtfn;
+        return trace.isBranch(j) && !predicted_free(j) &&
+            (armed || trace.taken(j));
     };
 
     // Program-order dependence links, precomputed at decode time.
@@ -267,20 +247,16 @@ MultiIssueSim::runImpl(const DecodedTrace &trace)
     };
 
     // Steady-state fast path (see sim/steady_state.hh; audit runs
-    // use the plain path).  Boundaries are checked at window refill;
-    // under a predicting branch policy the window strides past them,
+    // use the plain path; PredictorSpec::allowsSteadyState() names
+    // the predictors it is safe under).  Boundaries are checked at
+    // window refill; under a predictor the window strides past them,
     // which the tracker handles by folding the cursor-boundary
     // offset into the signature.  Boundary state: the watchdog gap,
     // the branch floor, the completion times the segment can still
     // read (its link-lookback window plus fixed pre-segment
     // producers), the pool and bus timelines, and the end watermark.
-    // A non-perfect predictor's mispredict stream is aperiodic in
-    // general (2-bit counters and fixed-accuracy hashes do not
-    // respect the trace's loop period), so the steady-state fast
-    // path stays off for it; a perfect predictor never mispredicts
-    // and keeps the oracle-identical schedule.
     const bool steady = !kAudit && steadyStateEnabled() &&
-        !(spec && cfg_.predictor.kind != PredictorSpec::Kind::kPerfect);
+        cfg_.predictor.allowsSteadyState();
     SteadyStateTracker tracker(steady ? &trace.periodicity() : nullptr,
                                n);
     std::size_t boundary = tracker.nextBoundary();
@@ -740,7 +716,6 @@ MultiIssueSim::auditRules() const
     rules.checkBranchFloor = true;
     rules.wawOrdered = true;
     rules.completionConsistent = true;
-    rules.branchPolicy = org_.branchPolicy;
     rules.busCount =
         org_.busKind == BusKind::kSingle ? 1 : org_.width;
     rules.busKind = org_.busKind;

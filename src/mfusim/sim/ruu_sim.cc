@@ -39,12 +39,6 @@ RuuSim::RuuSim(const RuuConfig &org, const MachineConfig &cfg)
     if (org_.memPorts < 1)
         throw ConfigError("RuuSim: memPorts must be >= 1");
     checkBusWindow(cfg_, "RuuSim");
-    if (cfg_.predictor.armed() &&
-        org_.branchPolicy != BranchPolicy::kBlocking) {
-        throw ConfigError(
-            "RuuSim: an armed predictor replaces the branch policy;"
-            " combine it only with the default blocking policy");
-    }
 }
 
 std::string
@@ -61,7 +55,6 @@ RuuSim::cacheKey() const
     return "ruu|w=" + std::to_string(org_.width) +
         "|size=" + std::to_string(org_.ruuSize) +
         "|bus=" + busKindName(org_.busKind) +
-        "|bp=" + branchPolicyName(org_.branchPolicy) +
         "|fuc=" + std::to_string(org_.fuCopies) +
         "|mp=" + std::to_string(org_.memPorts) +
         "|wd=" + std::to_string(org_.watchdogCycles) +
@@ -116,11 +109,12 @@ RuuSim::runImpl(const DecodedTrace &trace)
 
     // Armed predictor: prediction outcomes precomputed in trace
     // order (timing-independent; wrong-path ops never update the
-    // predictor); the static branch-policy logic below defers to
-    // them.
-    const bool spec = cfg_.predictor.armed();
+    // predictor).  With a wrong-path window a mispredict also
+    // fetches down the wrong path until it resolves.
+    const bool armed = cfg_.predictor.armed();
+    const bool spec = cfg_.predictor.speculates();
     std::vector<std::uint8_t> predOk;
-    if (spec)
+    if (armed)
         predOk = precomputePredictions(trace, cfg_.predictor);
 
     struct Entry
@@ -279,12 +273,10 @@ RuuSim::runImpl(const DecodedTrace &trace)
     // the live RUU entries (index relative to the insert cursor),
     // and the result times the segment can still read — producers of
     // both future inserts (link lookback) and of the live entries.
-    // Non-perfect mispredict streams are aperiodic in general, so
-    // the steady-state fast path stays off for them; a perfect
-    // predictor never mispredicts and keeps the oracle-identical
-    // schedule.
+    // PredictorSpec::allowsSteadyState() names the predictors it is
+    // safe under.
     const bool steady = !kAudit && steadyStateEnabled() &&
-        !(spec && cfg_.predictor.kind != PredictorSpec::Kind::kPerfect);
+        cfg_.predictor.allowsSteadyState();
     SteadyStateTracker tracker(steady ? &trace.periodicity() : nullptr,
                                n);
     std::size_t boundary = tracker.nextBoundary();
@@ -616,15 +608,7 @@ RuuSim::runImpl(const DecodedTrace &trace)
             unsigned inserted = 0;
             while (inserted < org_.width && next_insert < n) {
                 if (trace.isBranch(next_insert)) {
-                    // An armed predictor replaces the static branch
-                    // policy: its replayed outcome decides whether
-                    // the branch is free.
-                    const bool free_branch = spec
-                        ? predOk[next_insert] != 0
-                        : org_.branchPolicy == BranchPolicy::kOracle ||
-                          (org_.branchPolicy == BranchPolicy::kBtfn &&
-                           trace.btfnCorrect(next_insert));
-                    if (free_branch) {
+                    if (armed && predOk[next_insert]) {
                         // Correctly predicted: one issue slot, no
                         // stall, and the front end keeps issuing.
                         if constexpr (kAudit)
@@ -657,10 +641,11 @@ RuuSim::runImpl(const DecodedTrace &trace)
                         progress = true;
                         break;      // issue stops at the mispredict
                     }
-                    // Blocking: the branch holds the issue stage
-                    // until its condition operand exists, then
-                    // blocks issue for the branch time.  It never
-                    // occupies an RUU slot.
+                    // Blocking (or mispredicted without wrong-path
+                    // fetch): the branch holds the issue stage until
+                    // its condition operand exists, then blocks
+                    // issue for the branch time.  It never occupies
+                    // an RUU slot.
                     const std::uint32_t prod =
                         trace.prodA(next_insert);
                     if (!operand_ready(prod, t)) {
@@ -756,7 +741,6 @@ RuuSim::auditRules() const
     rules.frontWidth = org_.width;
     rules.checkBranchFloor = true;
     rules.completionConsistent = true;
-    rules.branchPolicy = org_.branchPolicy;
     rules.busCount =
         org_.busKind == BusKind::kSingle ? 1 : org_.width;
     rules.busKind = org_.busKind;

@@ -45,10 +45,10 @@ ScoreboardSim::ScoreboardSim(const ScoreboardConfig &org,
         throw ConfigError("ScoreboardSim: memPorts must be >= 1");
     if (org_.modelResultBus)
         checkBusWindow(cfg_, "ScoreboardSim");
-    if (cfg_.predictor.armed())
+    if (cfg_.predictor.speculates())
         throw ConfigError(
-            "ScoreboardSim: branch prediction is not modeled for the"
-            " single-issue machines (drop the predictor spec)");
+            "ScoreboardSim: the single-issue machines have no"
+            " wrong-path fetch (use a :w0 predictor window)");
 }
 
 std::string
@@ -72,10 +72,11 @@ ScoreboardSim::cacheKey() const
              ? "ilv"
              : "serial") +
         "|rbus=" + (org_.modelResultBus ? "1" : "0") +
-        "|bp=" + branchPolicyName(org_.branchPolicy) +
         "|chain=" + (org_.vectorChaining ? "1" : "0") +
         "|fuc=" + std::to_string(org_.fuCopies) +
-        "|mp=" + std::to_string(org_.memPorts);
+        "|mp=" + std::to_string(org_.memPorts) +
+        (cfg_.predictor.armed() ? "|pred=" + cfg_.predictor.key()
+                                : std::string());
 }
 
 SimResult
@@ -106,13 +107,20 @@ ScoreboardSim::runImpl(const DecodedTrace &trace)
 
     const std::size_t n = trace.size();
 
+    // Per-branch predicted-correct bits, replayed once per run.
+    const bool armed = cfg_.predictor.armed();
+    std::vector<std::uint8_t> predOk;
+    if (armed)
+        predOk = precomputePredictions(trace, cfg_.predictor);
+
     // Steady-state fast path (off under audit: the event stream
     // must be complete).  The machine's timing state at an iteration
     // boundary is the live part of the register ready times, the
     // pool and bus timelines and the end watermark, all rebased to
     // the issue cursor; once it repeats across boundaries, the
     // remaining iterations shift by a constant delta.
-    const bool steady = steadyStateEnabled() && !kObs;
+    const bool steady = steadyStateEnabled() && !kObs &&
+        cfg_.predictor.allowsSteadyState();
     SteadyStateTracker tracker(steady ? &trace.periodicity() : nullptr,
                                n);
     std::size_t boundary = tracker.nextBoundary();
@@ -169,37 +177,9 @@ ScoreboardSim::runImpl(const DecodedTrace &trace)
         const RegId dst = trace.dst(i);
 
         if (trace.isBranch(i)) {
-            const ClockCycle cond_ready =
-                srcA != kNoReg ? regReady[srcA] : 0;
-            const bool predicted_free =
-                org_.branchPolicy == BranchPolicy::kOracle ||
-                (org_.branchPolicy == BranchPolicy::kBtfn &&
-                 trace.btfnCorrect(i));
-            if (predicted_free) {
-                // Correctly predicted: the branch spends one issue
-                // slot and never gates the stream.
-                const ClockCycle t = issue_cursor;
-                if constexpr (kObs)
-                    emitAudit(AuditPhase::kIssue, t, i);
-                issue_cursor = t + 1;
-                end = std::max(end, t + 1);
-            } else {
-                // Blocking (and mispredicted-BTFN, which redirects
-                // once the outcome is known): wait for the
-                // condition, then hold the issue stage for the
-                // branch time.
-                const ClockCycle t =
-                    std::max(issue_cursor, cond_ready);
-                if constexpr (kObs) {
-                    emitAudit(AuditPhase::kIssue, t, i);
-                    emitStall(StallCause::kBranch, issue_cursor,
-                              t - issue_cursor, i);
-                    emitStall(StallCause::kBranch, t + 1,
-                              cfg_.branchTime - 1, i);
-                }
-                issue_cursor = t + cfg_.branchTime;
-                end = std::max(end, t + cfg_.branchTime);
-            }
+            issueBranch<kObs>(i, armed && predOk[i],
+                              srcA != kNoReg ? regReady[srcA] : 0,
+                              cfg_.branchTime, issue_cursor, end);
             continue;
         }
 
@@ -297,7 +277,7 @@ ScoreboardSim::auditRules() const
     rules.wawOrdered = true;
     rules.completionConsistent = true;
     rules.vectorChaining = org_.vectorChaining;
-    rules.branchPolicy = org_.branchPolicy;
+    rules.predictor = cfg_.predictor;
     rules.busCount = org_.modelResultBus ? 1 : 0;
     rules.busKind = BusKind::kSingle;
     rules.checkFuCaps = true;

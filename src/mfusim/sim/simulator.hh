@@ -11,6 +11,7 @@
 #ifndef MFUSIM_SIM_SIMULATOR_HH
 #define MFUSIM_SIM_SIMULATOR_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 
@@ -49,7 +50,8 @@ struct SimResult
     std::uint64_t steadyOpsSkipped = 0;
 
     /**
-     * Speculation telemetry (zero unless a predictor is armed):
+     * Speculation telemetry (zero unless a predictor with a
+     * wrong-path window is armed):
      * mispredicted branches squashed, and wrong-path instructions
      * that actually occupied issue/FU/bus resources before their
      * squash.
@@ -146,6 +148,37 @@ class Simulator
     {
         if (audit_ && cycles)
             audit_->onStall(StallSample{ from, cycles, op, cause });
+    }
+
+    /**
+     * Branch @p op on a single-issue machine.  A correctly
+     * @p predicted branch spends the issue slot at @p cursor and never
+     * gates the stream.  Any other (blocking, or mispredicted: it
+     * redirects once the outcome is known) waits for its condition at
+     * @p condReady, then holds the issue stage for @p branchTime.
+     * Advances @p cursor and the @p end watermark.
+     */
+    template <bool kObs>
+    void
+    issueBranch(std::uint64_t op, bool predicted, ClockCycle condReady,
+                unsigned branchTime, ClockCycle &cursor,
+                ClockCycle &end) const
+    {
+        if (predicted) {
+            if constexpr (kObs)
+                emitAudit(AuditPhase::kIssue, cursor, op);
+            cursor += 1;
+        } else {
+            const ClockCycle t = std::max(cursor, condReady);
+            if constexpr (kObs) {
+                emitAudit(AuditPhase::kIssue, t, op);
+                emitStall(StallCause::kBranch, cursor, t - cursor, op);
+                emitStall(StallCause::kBranch, t + 1, branchTime - 1,
+                          op);
+            }
+            cursor = t + branchTime;
+        }
+        end = std::max(end, cursor);
     }
 
   private:

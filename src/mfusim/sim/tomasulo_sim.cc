@@ -30,10 +30,10 @@ TomasuloSim::TomasuloSim(const TomasuloConfig &org,
         throw ConfigError("TomasuloSim: stationsPerFu must be >= 1");
     if (org_.cdbCount < 1)
         throw ConfigError("TomasuloSim: cdbCount must be >= 1");
-    if (cfg_.predictor.armed())
+    if (cfg_.predictor.speculates())
         throw ConfigError(
-            "TomasuloSim: branch prediction is not modeled for the"
-            " single-issue machines (drop the predictor spec)");
+            "TomasuloSim: the single-issue machines have no"
+            " wrong-path fetch (use a :w0 predictor window)");
 }
 
 std::string
@@ -48,7 +48,8 @@ TomasuloSim::cacheKey() const
 {
     return "tomasulo|rs=" + std::to_string(org_.stationsPerFu) +
         "|cdb=" + std::to_string(org_.cdbCount) +
-        "|bp=" + branchPolicyName(org_.branchPolicy);
+        (cfg_.predictor.armed() ? "|pred=" + cfg_.predictor.key()
+                                : std::string());
 }
 
 SimResult
@@ -104,6 +105,12 @@ TomasuloSim::runImpl(const DecodedTrace &trace)
         return from;
     };
 
+    // Per-branch predicted-correct bits, replayed once per run.
+    const bool armed = cfg_.predictor.armed();
+    std::vector<std::uint8_t> predOk;
+    if (armed)
+        predOk = precomputePredictions(trace, cfg_.predictor);
+
     ClockCycle issue_cursor = 0;
     ClockCycle end = 0;
 
@@ -111,7 +118,8 @@ TomasuloSim::runImpl(const DecodedTrace &trace)
     // live register values, station broadcast times, and the accept /
     // CDB reservation sets pruned to the future, rebased to the
     // issue cursor.
-    const bool steady = steadyStateEnabled() && !kObs;
+    const bool steady = steadyStateEnabled() && !kObs &&
+        cfg_.predictor.allowsSteadyState();
     SteadyStateTracker tracker(steady ? &trace.periodicity() : nullptr,
                                n);
     std::size_t boundary = tracker.nextBoundary();
@@ -186,31 +194,9 @@ TomasuloSim::runImpl(const DecodedTrace &trace)
         const RegId dst = trace.dst(i);
 
         if (trace.isBranch(i)) {
-            const ClockCycle cond_ready =
-                srcA != kNoReg ? value_ready[srcA] : 0;
-            const bool predicted_free =
-                org_.branchPolicy == BranchPolicy::kOracle ||
-                (org_.branchPolicy == BranchPolicy::kBtfn &&
-                 trace.btfnCorrect(i));
-            if (predicted_free) {
-                const ClockCycle t = issue_cursor;
-                if constexpr (kObs)
-                    emitAudit(AuditPhase::kIssue, t, i);
-                issue_cursor = t + 1;
-                end = std::max(end, t + 1);
-            } else {
-                const ClockCycle t =
-                    std::max(issue_cursor, cond_ready);
-                if constexpr (kObs) {
-                    emitAudit(AuditPhase::kIssue, t, i);
-                    emitStall(StallCause::kBranch, issue_cursor,
-                              t - issue_cursor, i);
-                    emitStall(StallCause::kBranch, t + 1,
-                              cfg_.branchTime - 1, i);
-                }
-                issue_cursor = t + cfg_.branchTime;
-                end = std::max(end, t + cfg_.branchTime);
-            }
+            issueBranch<kObs>(i, armed && predOk[i],
+                              srcA != kNoReg ? value_ready[srcA] : 0,
+                              cfg_.branchTime, issue_cursor, end);
             continue;
         }
 
@@ -314,7 +300,7 @@ TomasuloSim::auditRules() const
     rules.checkBranchFloor = true;
     // Renaming by tag: WAW never serializes completion.
     rules.completionConsistent = true;
-    rules.branchPolicy = org_.branchPolicy;
+    rules.predictor = cfg_.predictor;
     rules.busCount = org_.cdbCount;
     rules.busKind = BusKind::kPerUnit;
     rules.checkFuCaps = true;

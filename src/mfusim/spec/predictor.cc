@@ -148,9 +148,9 @@ PredictorSpec::validate() const
     if (kind == Kind::kFixed && accuracyPct > 100)
         throw ConfigError("predictor: accuracy must be in [0,100], "
                           "got " + std::to_string(accuracyPct));
-    if (wrongPathWindow == 0 || wrongPathWindow > 4096)
+    if (wrongPathWindow > 4096)
         throw ConfigError(
-            "predictor: wrong-path window must be in [1,4096], got " +
+            "predictor: wrong-path window must be in [0,4096], got " +
             std::to_string(wrongPathWindow));
 }
 

@@ -1,16 +1,25 @@
 /**
  * @file
- * Branch-predictor specifications for the speculative simulators.
+ * Branch-predictor specifications: the one branch model of every
+ * machine but the serial one.
  *
- * The paper's machines never speculate: every simulator either blocks
- * the front end on an unresolved branch (BranchPolicy::kBlocking),
- * assumes a static backward-taken/forward-not-taken predictor that is
- * only credited when it happens to be right (kBtfn), or assumes
- * perfect knowledge (kOracle).  A PredictorSpec arms a *dynamic*
- * front end instead: the fetch stream follows the predicted path,
- * wrong-path instructions occupy real issue/FU/bus resources until
- * the branch resolves, and a mispredict squashes the younger ops
- * precisely (see docs/MODEL.md, "Speculation").
+ * The paper's machines never speculate: a branch waits for its
+ * condition and then blocks issue for the branch time.  That is the
+ * disarmed spec.  An armed spec predicts every branch; a correctly
+ * predicted branch costs one issue slot and never gates the stream.
+ * What a mispredict costs depends on the wrong-path window:
+ *
+ *  - `:w0` (no wrong-path fetch): the mispredicted branch behaves like
+ *    the paper's blocking branch -- it waits for its condition, then
+ *    holds issue for the branch time (and squashes the instruction
+ *    buffer behind it on the multiple-issue machine).  `btfn:w0` is
+ *    the static backward-taken/forward-not-taken front end and
+ *    `perfect` the oracle bound.
+ *  - `:wN`, N > 0 (MultiIssue and RUU only): the fetch stream follows
+ *    the predicted path, up to N wrong-path instructions occupy real
+ *    issue/FU/bus resources until the branch resolves, and the
+ *    mispredict squashes them precisely (see docs/MODEL.md,
+ *    "Branch handling").
  *
  * The spec is a value type carried inside MachineConfig; this header
  * is therefore deliberately self-contained (no simulator includes).
@@ -34,8 +43,7 @@ class DecodedTrace;
 
 /**
  * One branch-predictor configuration.  `kind == kNone` (the default)
- * means speculation is disarmed and the simulators keep their
- * paper-mode BranchPolicy semantics bit-identically.
+ * means prediction is disarmed: every branch blocks, as in the paper.
  */
 struct PredictorSpec
 {
@@ -64,12 +72,34 @@ struct PredictorSpec
      * Wrong-path fetch window: how many wrong-path instructions the
      * front end can push past a mispredicted branch before it runs
      * out of fetched-ahead instructions.  Bounds the resource
-     * pollution a single mispredict can cause.
+     * pollution a single mispredict can cause.  0 means no wrong-path
+     * fetch: a mispredict blocks like the paper's branch.
      */
     unsigned wrongPathWindow = 8;
 
     /** True when a predictor is configured (kind != kNone). */
     bool armed() const { return kind != Kind::kNone; }
+
+    /**
+     * True when a mispredict fetches down the wrong path and is
+     * squashed (armed with a window above 0).  The single-issue
+     * machines have no wrong-path fetch and reject such a spec.
+     */
+    bool speculates() const { return armed() && wrongPathWindow > 0; }
+
+    /**
+     * True where the steady-state fast path may engage: disarmed,
+     * perfect (it never mispredicts) and btfn:w0.  Other mispredict
+     * streams (2-bit counters, fixed-accuracy hashes) do not respect
+     * the trace's loop period in general, and a wrong-path window
+     * feeds trace-relative fetch into the timing state.
+     */
+    bool
+    allowsSteadyState() const
+    {
+        return !armed() || kind == Kind::kPerfect ||
+            (kind == Kind::kBtfn && wrongPathWindow == 0);
+    }
 
     /**
      * Canonical short form, e.g. "2bit:512:w8" or "fixed:90:s1:w8";
@@ -84,7 +114,8 @@ struct PredictorSpec
      *   2bit[:TABLE]            (TABLE a power of two, default 512)
      *   fixed:PCT[:sSEED]       (PCT in [0,100], default seed 1)
      *
-     * any form may append ":wN" to set the wrong-path window.
+     * any form may append ":wN" to set the wrong-path window
+     * (":w0": no wrong-path fetch).
      *
      * @throws ConfigError on malformed input.
      */

@@ -56,7 +56,7 @@ allSims(const MachineConfig &cfg)
     sims.push_back(
         std::make_unique<Cdc6600Sim>(Cdc6600Config{}, cfg));
     sims.push_back(std::make_unique<TomasuloSim>(
-        TomasuloConfig{ 3, 1, BranchPolicy::kBlocking }, cfg));
+        TomasuloConfig{ 3, 1 }, cfg));
     sims.push_back(std::make_unique<MultiIssueSim>(
         MultiIssueConfig{ 4, true, BusKind::kPerUnit, false }, cfg));
     sims.push_back(std::make_unique<RuuSim>(
@@ -312,8 +312,7 @@ TEST(Watchdog, MultiIssueDiagnosesStalledIssue)
         dyn(Op::kFAdd, regS(2), regS(1), regS(1)),
     });
     MultiIssueSim sim(
-        MultiIssueConfig{ 2, false, BusKind::kPerUnit, false,
-                          BranchPolicy::kBlocking, 1, 1, 4 },
+        MultiIssueConfig{ 2, false, BusKind::kPerUnit, false, 1, 1, 4 },
         configM11BR5());
     try {
         sim.run(trace);
@@ -333,8 +332,7 @@ TEST(Watchdog, RuuDiagnosesStalledWindow)
         dyn(Op::kLoadS, regS(1), regA(1)),
         dyn(Op::kFAdd, regS(2), regS(1), regS(1)),
     });
-    RuuSim sim(RuuConfig{ 1, 10, BusKind::kPerUnit,
-                          BranchPolicy::kBlocking, 1, 1, 4 },
+    RuuSim sim(RuuConfig{ 1, 10, BusKind::kPerUnit, 1, 1, 4 },
                configM11BR5());
     try {
         sim.run(trace);

@@ -463,14 +463,12 @@ allSims(const MachineConfig &cfg)
     sims.push_back({ "ooo4",
                      std::make_unique<MultiIssueSim>(
                          MultiIssueConfig{ 4, true, BusKind::kPerUnit,
-                                           false,
-                                           BranchPolicy::kBlocking },
+                                           false },
                          cfg),
                      false });
     sims.push_back({ "ruu",
                      std::make_unique<RuuSim>(
-                         RuuConfig{ 2, 30, BusKind::kPerUnit,
-                                    BranchPolicy::kBlocking },
+                         RuuConfig{ 2, 30, BusKind::kPerUnit },
                          cfg),
                      true });
     return sims;
@@ -502,13 +500,15 @@ TEST(ObsAllSims, ScheduleCompleteAndMonotonic)
                 EXPECT_LE(rec.front(i), rec.exec(i)) << where;
                 // ...and completes after starting, where completion
                 // is modeled (branches produce no result).
-                if (rec.complete(i) != PipeTraceRecorder::kNoCycle)
+                if (rec.complete(i) != PipeTraceRecorder::kNoCycle) {
                     EXPECT_LT(rec.exec(i), rec.complete(i) + 1)
                         << where;
+                }
                 if (rec.commit(i) != PipeTraceRecorder::kNoCycle &&
-                    rec.complete(i) != PipeTraceRecorder::kNoCycle)
+                    rec.complete(i) != PipeTraceRecorder::kNoCycle) {
                     EXPECT_LE(rec.complete(i), rec.commit(i))
                         << where;
+                }
                 if (entry.inOrderFront) {
                     EXPECT_LE(prevFront, rec.front(i)) << where;
                     prevFront = rec.front(i);
@@ -549,9 +549,22 @@ TEST(ObsAllSims, StallIdentityHolds)
                 << entry.name << " LL" << loop;
             EXPECT_EQ(reg.counterValue("ops.total"), r.instructions)
                 << entry.name << " LL" << loop;
-            // Utilization gauges are fractions.
-            for (const auto &label : reg.labels())
-                (void)label;
+            // fu.<class>.utilization is busy_cycles / cycles.total:
+            // the mean number of the class's ops in flight, which
+            // exceeds 1 on pipelined or replicated units.
+            std::uint64_t busy = 0;
+            for (unsigned fu = 0; fu < kNumFuClasses; ++fu) {
+                const std::string base =
+                    std::string("fu.") + fuClassName(FuClass(fu));
+                const std::uint64_t cycles =
+                    reg.counterValue(base + ".busy_cycles");
+                const double util = reg.gaugeValue(base + ".utilization");
+                EXPECT_GE(util, 0.0) << entry.name << " " << base;
+                EXPECT_DOUBLE_EQ(util, double(cycles) / double(r.cycles))
+                    << entry.name << " LL" << loop << " " << base;
+                busy += cycles;
+            }
+            EXPECT_GT(busy, 0u) << entry.name << " LL" << loop;
         }
     }
 }
@@ -618,8 +631,7 @@ TEST(ObsExport, PipeviewShowsSchedule)
 {
     const MachineConfig cfg = configM11BR5();
     const DecodedTrace trace(TraceLibrary::instance().trace(5), cfg);
-    RuuSim sim(RuuConfig{ 2, 30, BusKind::kPerUnit,
-                          BranchPolicy::kBlocking },
+    RuuSim sim(RuuConfig{ 2, 30, BusKind::kPerUnit },
                cfg);
     PipeTraceRecorder rec;
     sim.attachAudit(&rec);

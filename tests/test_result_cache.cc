@@ -118,14 +118,14 @@ TEST_F(ResultCacheTest, KeyCannotBeSpoofedAcrossFields)
 TEST_F(ResultCacheTest, SimulatorCacheKeysDistinguishVariants)
 {
     // The aliasing hazard that motivated cacheKey(): ScoreboardSim's
-    // name() is "CRAY-like" for every branch policy, so keys must
-    // come from cacheKey(), which serializes every organization knob.
+    // name() is "CRAY-like" for every predictor, so keys must come
+    // from cacheKey(), which serializes every organization knob.
     const MachineConfig cfg = configM11BR5();
+    MachineConfig oracle = cfg;
+    oracle.predictor = PredictorSpec::parse("perfect:w0");
 
-    ScoreboardConfig blocking = ScoreboardConfig::crayLike();
-    ScoreboardConfig oracle = ScoreboardConfig::crayLike();
-    oracle.branchPolicy = BranchPolicy::kOracle;
-    const ScoreboardSim a(blocking, cfg), b(oracle, cfg);
+    const ScoreboardConfig org = ScoreboardConfig::crayLike();
+    const ScoreboardSim a(org, cfg), b(org, oracle);
     EXPECT_EQ(a.name(), b.name()) << "precondition: names alias";
     EXPECT_NE(a.cacheKey(), b.cacheKey());
 
@@ -286,22 +286,22 @@ TEST_F(ResultCacheTest, SweepSecondRunIsAllHits)
 
 TEST_F(ResultCacheTest, SweepVariantsDoNotAlias)
 {
-    // Identical name(), different branch policy: the sweeps must not
-    // cross-contaminate through the cache (the bug cacheKey() was
-    // introduced to prevent).
+    // Identical name(), different predictor in the simulator's own
+    // config: the sweeps must not cross-contaminate through the cache
+    // (the bug cacheKey() was introduced to prevent).
     const std::vector<int> loops{ 3 };
     const MachineConfig cfg = configM11BR5();
-    const auto rateWith = [&](BranchPolicy policy) {
-        const SimFactory factory = [policy](const MachineConfig &c)
+    const auto rateWith = [&](const PredictorSpec &pred) {
+        const SimFactory factory = [pred](MachineConfig c)
             -> std::unique_ptr<Simulator> {
-            ScoreboardConfig org = ScoreboardConfig::crayLike();
-            org.branchPolicy = policy;
-            return std::make_unique<ScoreboardSim>(org, c);
+            c.predictor = pred;
+            return std::make_unique<ScoreboardSim>(
+                ScoreboardConfig::crayLike(), c);
         };
         return parallelPerLoopRates(factory, loops, cfg, 1)[0];
     };
-    const double blocking = rateWith(BranchPolicy::kBlocking);
-    const double oracle = rateWith(BranchPolicy::kOracle);
+    const double blocking = rateWith({});
+    const double oracle = rateWith(PredictorSpec::parse("perfect:w0"));
     EXPECT_NE(blocking, oracle)
         << "oracle branching must beat blocking on LL3 — a tie "
            "suggests the cache aliased the two organizations";

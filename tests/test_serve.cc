@@ -507,6 +507,31 @@ TEST_F(ServeE2E, OutOfRangeSpecFieldsAre400)
     }
 }
 
+TEST_F(ServeE2E, BranchAliasesAreWindowZeroPredictors)
+{
+    // ",oracle" is pred=perfect:w0: it answers what the "predictor"
+    // field arms, and combining the two is a bad request.
+    const auto cycles = [this](const std::string &body) {
+        const Response r =
+            roundTrip(port(), "POST", "/v1/simulate", body);
+        EXPECT_EQ(r.status, 200) << body << ": " << r.body;
+        return parseJson(r.body).find("cycles")->asNumber();
+    };
+    EXPECT_EQ(cycles(R"({"loop": 5, "machine": "cray,oracle"})"),
+              cycles(R"({"loop": 5, "machine": "cray",)"
+                     R"( "predictor": "perfect:w0"})"));
+    // Refused: the default wrong-path window (8) on a single-issue
+    // machine, and an alias on top of the "predictor" field.
+    for (const char *body :
+         { R"({"loop": 5, "machine": "cray", "predictor": "2bit"})",
+           R"({"loop": 5, "machine": "cray,oracle",)"
+           R"( "predictor": "perfect:w0"})" }) {
+        EXPECT_EQ(roundTrip(port(), "POST", "/v1/simulate", body).status,
+                  400)
+            << body;
+    }
+}
+
 TEST_F(ServeE2E, OversizedBodyIs413)
 {
     // 64 KiB limit in the fixture; send a Content-Length beyond it.

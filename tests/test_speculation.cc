@@ -5,8 +5,9 @@
  *
  *  - PredictorSpec parsing, keys, validation, and the shared
  *    prediction replay (2-bit FSM, fixed-accuracy determinism);
- *  - pred=perfect reproduces the legacy oracle branch policy
- *    bit-identically on every Livermore loop, on both machines;
+ *  - pred=perfect (wrong-path window 8) reproduces perfect:w0 (no
+ *    wrong-path fetch) bit-identically on every Livermore loop, on
+ *    both machines;
  *  - audited speculative runs (squash-legality invariants) on every
  *    loop, plus crafted traces for the classic squash shapes: loop
  *    back-edge mispredict, nested mispredicts, squash while the
@@ -16,7 +17,7 @@
  *  - speculative variants mixed with plain ones in one
  *    batchedPerLoopRates() call match fresh runs bit for bit;
  *  - cache keys, config names, machine-spec ",pred=" plumbing, and
- *    the non-speculative machines' rejection of an armed predictor.
+ *    the single-issue machines' rejection of a wrong-path window.
  */
 
 #include <gtest/gtest.h>
@@ -95,7 +96,7 @@ expectSameResult(const SimResult &got, const SimResult &want,
 TEST(PredictorSpec, ParseAndKeyRoundTrip)
 {
     for (const char *text :
-         { "perfect:w8", "taken:w8", "btfn:w4", "2bit:512:w8",
+         { "perfect:w8", "taken:w8", "btfn:w4", "btfn:w0", "2bit:512:w8",
            "2bit:64:w16", "fixed:90:s1:w8", "fixed:0:s7:w2" }) {
         const PredictorSpec spec = PredictorSpec::parse(text);
         EXPECT_EQ(spec.key(), text);
@@ -114,7 +115,7 @@ TEST(PredictorSpec, ParseRejectsMalformedSpecs)
 {
     for (const char *text :
          { "", "bogus", "2bit:500", "2bit:0", "fixed",
-           "fixed:101", "fixed:90:x3", "perfect:w0",
+           "fixed:101", "fixed:90:x3", "perfect:w",
            "taken:w5000", "2bit:512:junk" }) {
         EXPECT_THROW(PredictorSpec::parse(text), ConfigError) << text;
     }
@@ -194,7 +195,7 @@ TEST(PredictorReplay, FixedAccuracyIsSeededAndDeterministic)
     EXPECT_LT(double(wrong), 0.35 * double(branches));
 }
 
-// ---- perfect prediction == legacy oracle, every loop, both sims ------
+// ---- perfect prediction: wrong-path window is moot, every loop -------
 
 class SpecLoop : public ::testing::TestWithParam<int>
 {
@@ -205,29 +206,27 @@ TEST_P(SpecLoop, PerfectPredictorMatchesOracleBitIdentically)
     const MachineConfig base = configM11BR5();
     const DecodedTrace &trace =
         TraceLibrary::instance().decoded(GetParam(), base);
-    const MachineConfig perfect = withPredictor(base, "perfect");
+    const MachineConfig perfect = withPredictor(base, "perfect:w8");
+    const MachineConfig oracleCfg = withPredictor(base, "perfect:w0");
 
     {
-        MultiIssueSim oracle(
-            { 4, true, BusKind::kPerUnit, false, BranchPolicy::kOracle },
-            base);
+        MultiIssueSim oracle({ 4, true, BusKind::kPerUnit, false },
+                             oracleCfg);
         MultiIssueSim spec({ 4, true, BusKind::kPerUnit, false },
                            perfect);
         expectSameResult(spec.run(trace), oracle.run(trace),
                          "ooo w=4 perfect vs oracle");
     }
     {
-        MultiIssueSim oracle(
-            { 4, false, BusKind::kPerUnit, false, BranchPolicy::kOracle },
-            base);
+        MultiIssueSim oracle({ 4, false, BusKind::kPerUnit, false },
+                             oracleCfg);
         MultiIssueSim spec({ 4, false, BusKind::kPerUnit, false },
                            perfect);
         expectSameResult(spec.run(trace), oracle.run(trace),
                          "seq w=4 perfect vs oracle");
     }
     {
-        RuuSim oracle(
-            { 4, 50, BusKind::kPerUnit, BranchPolicy::kOracle }, base);
+        RuuSim oracle({ 4, 50, BusKind::kPerUnit }, oracleCfg);
         RuuSim spec({ 4, 50, BusKind::kPerUnit }, perfect);
         expectSameResult(spec.run(trace), oracle.run(trace),
                          "ruu w=4/50 perfect vs oracle");
@@ -435,9 +434,8 @@ TEST(Speculation, PerfectPredictorKeepsSteadyState)
     const MachineConfig base = configM11BR5();
     const DecodedTrace &trace =
         TraceLibrary::instance().decoded(5, base);
-    MultiIssueSim oracle(
-        { 4, true, BusKind::kPerUnit, false, BranchPolicy::kOracle },
-        base);
+    MultiIssueSim oracle({ 4, true, BusKind::kPerUnit, false },
+                         withPredictor(base, "perfect:w0"));
     MultiIssueSim spec({ 4, true, BusKind::kPerUnit, false },
                        withPredictor(base, "perfect"));
     const SimResult want = oracle.run(trace);
@@ -555,16 +553,35 @@ TEST(Speculation, NonSpeculativeMachinesRejectAnArmedPredictor)
                  ConfigError);
     EXPECT_THROW(TomasuloSim(TomasuloConfig{}, pred), ConfigError);
 
-    // And the speculative machines insist the predictor replaces the
-    // static branch policy rather than stacking on top of it.
-    EXPECT_THROW(MultiIssueSim({ 4, true, BusKind::kPerUnit, false,
-                                 BranchPolicy::kOracle },
-                               pred),
-                 ConfigError);
-    EXPECT_THROW(RuuSim({ 4, 50, BusKind::kPerUnit,
-                          BranchPolicy::kBtfn },
-                        pred),
-                 ConfigError);
+    // Without a wrong-path window the single-issue machines predict;
+    // the serial machine never does.
+    const MachineConfig w0 = withPredictor(configM11BR5(), "2bit:w0");
+    EXPECT_THROW(SimpleSim{ w0 }, ConfigError);
+    EXPECT_NO_THROW(Cdc6600Sim(Cdc6600Config{}, w0));
+    EXPECT_NO_THROW(ScoreboardSim(ScoreboardConfig::crayLike(), w0));
+    EXPECT_NO_THROW(TomasuloSim(TomasuloConfig{}, w0));
+}
+
+TEST(Speculation, WindowZeroPredictorsAuditCleanOnFiveMachines)
+{
+    // Without wrong-path fetch a mispredict blocks like the paper's
+    // branch: no squash or wrong-path op, and a legal schedule on
+    // every machine that predicts.
+    const MachineConfig base = configM5BR2();
+    for (const char *machine :
+         { "cray", "cdc", "tomasulo:3:1", "seq:4", "ooo:4,1bus",
+           "ruu:4:50" }) {
+        for (const char *pred : { "2bit:w0", "fixed:60:w0" }) {
+            const auto sim = parseMachineSpec(
+                std::string(machine) + ",pred=" + pred, base);
+            for (const int loop : { 2, 7, 13 }) {
+                const SimResult r = runAudited(
+                    *sim, TraceLibrary::instance().decoded(loop, base));
+                EXPECT_EQ(r.squashes, 0u) << machine << " " << pred;
+                EXPECT_EQ(r.wrongPathOps, 0u) << machine << " " << pred;
+            }
+        }
+    }
 }
 
 TEST(Speculation, TelemetryAccumulatesAcrossRuns)

@@ -67,7 +67,7 @@ allSims(const MachineConfig &cfg)
     sims.push_back(
         std::make_unique<Cdc6600Sim>(Cdc6600Config{}, cfg));
     sims.push_back(std::make_unique<TomasuloSim>(
-        TomasuloConfig{ 3, 1, BranchPolicy::kBlocking }, cfg));
+        TomasuloConfig{ 3, 1 }, cfg));
     sims.push_back(std::make_unique<MultiIssueSim>(
         MultiIssueConfig{ 4, true, BusKind::kPerUnit, false }, cfg));
     sims.push_back(std::make_unique<RuuSim>(

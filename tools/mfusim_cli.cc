@@ -36,10 +36,11 @@
  *           either way — this is a debugging escape hatch
  * --predictor SPEC
  *           arm a branch predictor on the run's machine config
- *           (MultiIssue / RUU machines only).  SPEC is
+ *           (every machine but simple).  SPEC is
  *           perfect | taken | btfn | 2bit[:TABLE] | fixed:PCT[:sSEED]
  *           with an optional ":wN" wrong-path-window suffix, e.g.
- *           "2bit:1024:w8" or "fixed:90".  Equivalent to the
+ *           "2bit:1024:w8" or "fixed:90"; cray / cdc / tomasulo take
+ *           only ":w0" (no wrong-path fetch).  Equivalent to the
  *           ",pred=SPEC" machine-spec option.
  * --trace-out F    (rate/replay, single loop) write the pipeline
  *           schedule as Chrome/Perfetto trace-event JSON to F
@@ -93,7 +94,8 @@
  *           seq:<w> | ooo:<w> | ruu:<w>:<size>
  *           with optional ",1bus" / ",xbar", ",btfn" / ",oracle" and
  *           ",pred=SPEC" suffixes, e.g. "ruu:4:50,1bus,oracle" or
- *           "ooo:4,pred=2bit"
+ *           "ooo:4,pred=2bit"; ",btfn" / ",oracle" are aliases for
+ *           ",pred=btfn:w0" / ",pred=perfect:w0"
  */
 
 #include <cerrno>
